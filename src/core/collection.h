@@ -19,12 +19,18 @@
 // the engine (2-party, additive k-server, Shamir t-of-n) apply unchanged —
 // the registry serves the same EvalRequest/FetchRequest protocol.
 //
+// Collection is the unsharded facade over core/deployment.h: the
+// DeploymentCore holds the client state, the Add/Remove write path and the
+// document table it shares with ShardedCollection (shard/), while this
+// class keeps only what a single server group adds — its persistent
+// QuerySession, the hot-query cache, the Bloom pre-filter, SearchXPath /
+// SearchDoc, the legacy v1-v3 key and store branches, and its file layout.
+//
 // polysse::Engine (core/engine.h) remains the one-document special case,
 // implemented as a thin wrapper over a one-entry collection.
 #ifndef POLYSSE_CORE_COLLECTION_H_
 #define POLYSSE_CORE_COLLECTION_H_
 
-#include <algorithm>
 #include <array>
 #include <list>
 #include <map>
@@ -32,41 +38,17 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
-#include "core/client_context.h"
-#include "core/endpoint.h"
-#include "core/multi_server.h"
-#include "core/outsource.h"
-#include "core/persistence.h"
-#include "core/poly_tree.h"
-#include "core/query_session.h"
-#include "core/server_store.h"
-#include "core/sharing.h"
-#include "core/store_registry.h"
+#include "core/deployment.h"
 #include "crypto/bloom.h"
-#include "nt/primes.h"
-#include "util/thread_pool.h"
 #include "xpath/xpath.h"
 
 namespace polysse {
 
-/// Which transport fronts collection-owned in-process servers.
-enum class EndpointKind {
-  /// Serialize every message both ways: real byte counters, codecs
-  /// exercised on every query (the measured-deployment default).
-  kLoopback,
-  /// Direct handler calls — zero-copy fast path for embedded use.
-  kInProcess,
-};
-
 /// Facade-level name for one element lookup of a batch.
 using Query = TagQuery;
-
-/// Stable client-chosen document identity inside a collection.
-using DocId = uint64_t;
 
 /// Server-side deployment shape of a collection (and, via the Engine
 /// wrapper, of a single-document deployment).
@@ -95,10 +77,6 @@ struct CollectionResult {
   QueryStats stats;
 };
 
-/// Joins a document's share-prefix with an in-document node path, matching
-/// how the query session extends paths from the root downward.
-std::string JoinSharePath(const std::string& prefix, const std::string& path);
-
 template <typename Ring>
 class Collection {
  public:
@@ -107,11 +85,10 @@ class Collection {
   /// The ring is fixed at Create for the collection's whole life; an Fp
   /// collection with options.p == 0 sizes the field for a default alphabet
   /// of kDefaultTagCapacity distinct tags across all documents.
-  using OutsourceOptions =
-      std::conditional_t<std::is_same_v<Ring, FpCyclotomicRing>,
-                         FpOutsourceOptions, ZOutsourceOptions>;
+  using OutsourceOptions = typename DeploymentCore<Ring>::OutsourceOptions;
 
-  static constexpr uint64_t kDefaultTagCapacity = 64;
+  static constexpr uint64_t kDefaultTagCapacity =
+      DeploymentCore<Ring>::kDefaultTagCapacity;
 
   Collection(const Collection&) = delete;
   Collection& operator=(const Collection&) = delete;
@@ -121,21 +98,12 @@ class Collection {
   static Result<std::unique_ptr<Collection>> Create(
       const DeterministicPrf& seed, const Deploy& deploy = {},
       const OutsourceOptions& options = {}) {
-    ASSIGN_OR_RETURN(Ring ring, MakeRing(deploy, options));
-    auto col = std::unique_ptr<Collection>(new Collection(
-        std::move(ring), seed, MakeSplitOptions(options)));
-    col->map_options_ = BuildMapOptions(col->ring_, options);
-    col->legacy_share_paths_ = deploy.legacy_share_paths;
-    RETURN_IF_ERROR(col->ValidateShape(deploy.scheme, deploy.num_servers,
-                                       deploy.threshold));
-    const int num_servers =
-        deploy.scheme == ShareScheme::kTwoParty ? 1 : deploy.num_servers;
-    for (int s = 0; s < num_servers; ++s)
-      col->registries_.push_back(
-          std::make_unique<ServerStoreRegistry<Ring>>(col->ring_));
-    col->SetUpPool(deploy.worker_threads);
-    RETURN_IF_ERROR(col->AttachEndpoints(deploy.transport, deploy.scheme,
-                                         EffectiveThreshold(deploy)));
+    ASSIGN_OR_RETURN(Core core, Core::Create(seed, deploy, options));
+    core.set_legacy_share_paths(deploy.legacy_share_paths);
+    auto col = std::unique_ptr<Collection>(new Collection(std::move(core)));
+    RETURN_IF_ERROR(
+        col->core_.MakeOwnedGroup(&col->servers_, deploy.transport));
+    col->RebuildSession();
     return col;
   }
 
@@ -145,44 +113,30 @@ class Collection {
   /// saved deployment. Search works immediately; Add/Remove manage the
   /// remote registries over the wire (v3 keys only — v1/v2 keys lack the
   /// document table, so they connect read-only with one legacy document).
+  /// Sharded (v4 shard-table) keys belong to ShardedCollection.
   static Result<std::unique_ptr<Collection>> Connect(
       const ClientSecretFile& key, std::vector<ServerEndpoint*> endpoints,
       Executor* executor = nullptr) {
-    ASSIGN_OR_RETURN(Ring ring, RingFromKey(key));
-    auto col = std::unique_ptr<Collection>(new Collection(
-        std::move(ring), DeterministicPrf(key.seed),
-        ShareSplitOptions{key.z_coeff_bits}));
-    col->owns_servers_ = false;
-    col->tag_map_ = key.tag_map;
-    col->map_options_ = col->ReconstructMapOptions();
-    col->RebuildClient();
-    const int num_servers =
-        key.scheme == ShareScheme::kTwoParty ? 1 : key.num_servers;
-    if (num_servers < 1)
-      return Status::Corruption("key file names no servers");
-    RETURN_IF_ERROR(
-        col->ValidateShape(key.scheme, num_servers, key.threshold));
+    ASSIGN_OR_RETURN(int num_servers, ServerCount(key));
+    ASSIGN_OR_RETURN(Ring ring, Core::RingFromKey(key));
+    ASSIGN_OR_RETURN(Core core, Core::FromKey(key, std::move(ring), executor));
     if (endpoints.size() != static_cast<size_t>(num_servers))
       return Status::InvalidArgument(
           "this key names " + std::to_string(num_servers) +
           " server(s); pass exactly that many endpoints, in server order");
-    if (key.version >= 3) {
-      for (const auto& doc : key.docs)
-        col->docs_.push_back(
-            {doc.doc_id, doc.base, doc.size, doc.share_prefix});
-      std::sort(col->docs_.begin(), col->docs_.end(),
-                [](const Doc& a, const Doc& b) { return a.base < b.base; });
-      col->next_base_ = key.next_base;
-      col->next_epoch_ = key.next_epoch;
-    } else {
+    auto col = std::unique_ptr<Collection>(new Collection(std::move(core)));
+    col->owns_servers_ = false;
+    col->next_base_ = key.next_base;
+    if (key.version < 3) {
       // Legacy key: one document at base 0 of unknown size — searchable,
       // but Add would need the node-id high-water mark the old key never
       // recorded.
-      col->docs_.push_back({0, 0, static_cast<int64_t>(INT32_MAX), ""});
+      col->core_.docs().Insert({0, 0, 0, static_cast<int64_t>(INT32_MAX), ""});
       col->can_add_ = false;
     }
-    RETURN_IF_ERROR(col->AttachExternal(std::move(endpoints), key.scheme,
-                                        key.threshold, executor));
+    RETURN_IF_ERROR(
+        col->core_.FinishGroup(&col->servers_, std::move(endpoints)));
+    col->RebuildSession();
     return col;
   }
 
@@ -194,17 +148,9 @@ class Collection {
   static Result<std::unique_ptr<Collection>> Open(
       const std::string& store_path, const std::string& key_path,
       EndpointKind transport = EndpointKind::kLoopback) {
-    ASSIGN_OR_RETURN(std::vector<uint8_t> key_bytes, ReadFileBytes(key_path));
-    ByteReader key_reader(key_bytes);
-    ASSIGN_OR_RETURN(ClientSecretFile key,
-                     ClientSecretFile::Deserialize(&key_reader));
-
-    const int num_servers =
-        key.scheme == ShareScheme::kTwoParty ? 1 : key.num_servers;
-    if (num_servers < 1)
-      return Status::Corruption("key file names no servers");
-
-    std::vector<std::unique_ptr<ServerStoreRegistry<Ring>>> registries;
+    ASSIGN_OR_RETURN(ClientSecretFile key, Core::ReadKey(key_path));
+    ASSIGN_OR_RETURN(int num_servers, ServerCount(key));
+    ServerGroup<Ring> servers;
     for (int s = 0; s < num_servers; ++s) {
       const std::string path = key.scheme == ShareScheme::kTwoParty
                                    ? store_path
@@ -212,72 +158,28 @@ class Collection {
       ASSIGN_OR_RETURN(std::vector<uint8_t> bytes, ReadFileBytes(path));
       ASSIGN_OR_RETURN(std::unique_ptr<ServerStoreRegistry<Ring>> registry,
                        LoadStoreRegistry<Ring>(bytes));
-      registries.push_back(std::move(registry));
-    }
-    for (const auto& registry : registries) {
-      if (!SameRing(registry->ring(), registries[0]->ring()))
-        return Status::Corruption("server stores disagree on ring parameters");
-      const auto a = registry->docs();
-      const auto b = registries[0]->docs();
-      if (a.size() != b.size())
-        return Status::Corruption("server stores disagree on document set");
-      for (size_t i = 0; i < a.size(); ++i) {
-        if (a[i].doc_id != b[i].doc_id || a[i].base != b[i].base)
-          return Status::Corruption(
-              "server stores disagree on document set");
-        if (a[i].nodes != b[i].nodes)
-          return Status::Corruption("server stores disagree on tree size");
-      }
+      servers.registries.push_back(std::move(registry));
     }
 
-    // Resolve the document table: v3 keys carry it; v1/v2 keys imply one
-    // legacy document whose size comes from the store itself.
-    std::vector<Doc> docs;
-    int64_t next_base = 0;
-    uint64_t next_epoch = 1;
-    const auto stored = registries[0]->docs();
-    if (key.version >= 3) {
-      if (key.docs.size() != stored.size())
-        return Status::Corruption(
-            "server stores disagree with the key file's document table");
-      std::vector<ClientSecretFile::DocEntry> sorted = key.docs;
-      std::sort(sorted.begin(), sorted.end(),
-                [](const auto& a, const auto& b) { return a.base < b.base; });
-      for (size_t i = 0; i < sorted.size(); ++i) {
-        if (sorted[i].doc_id != stored[i].doc_id ||
-            sorted[i].base != stored[i].base ||
-            static_cast<size_t>(sorted[i].size) != stored[i].nodes)
-          return Status::Corruption(
-              "server stores disagree with the key file's document table");
-        docs.push_back({sorted[i].doc_id, sorted[i].base, sorted[i].size,
-                        sorted[i].share_prefix});
-      }
-      next_base = key.next_base;
-      next_epoch = key.next_epoch;
-    } else {
+    // v3 keys carry the document table; v1/v2 keys imply one legacy
+    // document whose size comes from the store itself.
+    ASSIGN_OR_RETURN(
+        Core core, Core::FromKey(key, servers.registries[0]->ring(), nullptr));
+    int64_t next_base = key.next_base;
+    if (key.version < 3) {
+      const auto stored = servers.registries[0]->docs();
       if (stored.size() != 1 || stored[0].base != 0)
         return Status::Corruption(
             "legacy single-document key cannot open a multi-document store");
-      docs.push_back({stored[0].doc_id, 0,
-                      static_cast<int64_t>(stored[0].nodes), ""});
       next_base = static_cast<int64_t>(stored[0].nodes);
+      core.docs().Insert({stored[0].doc_id, 0, 0, next_base, ""});
     }
-
-    Ring ring = registries[0]->ring();
-    auto col = std::unique_ptr<Collection>(new Collection(
-        std::move(ring), DeterministicPrf(key.seed),
-        ShareSplitOptions{key.z_coeff_bits}));
-    col->tag_map_ = std::move(key.tag_map);
-    col->map_options_ = col->ReconstructMapOptions();
-    col->RebuildClient();
-    col->registries_ = std::move(registries);
-    col->docs_ = std::move(docs);
+    RETURN_IF_ERROR(core.CheckStores(servers));
+    auto col = std::unique_ptr<Collection>(new Collection(std::move(core)));
+    col->servers_ = std::move(servers);
     col->next_base_ = next_base;
-    col->next_epoch_ = next_epoch;
-    RETURN_IF_ERROR(
-        col->ValidateShape(key.scheme, num_servers, key.threshold));
-    RETURN_IF_ERROR(
-        col->AttachEndpoints(transport, key.scheme, key.threshold));
+    RETURN_IF_ERROR(col->core_.AttachOwned(&col->servers_, transport));
+    col->RebuildSession();
     return col;
   }
 
@@ -294,65 +196,21 @@ class Collection {
       return Status::FailedPrecondition(
           "this collection was connected from a pre-collection key and is "
           "read-only; re-save with a current build to enable Add");
-    if (FindDoc(doc_id) != nullptr)
-      return Status::InvalidArgument("doc id " + std::to_string(doc_id) +
-                                     " is already in the collection");
-    TagMap next_map = tag_map_;
-    RETURN_IF_ERROR(
-        next_map.Extend(document.DistinctTags(), map_options_, seed_));
-    ASSIGN_OR_RETURN(PolyTree<Ring> data,
-                     BuildPolyTree(ring_, next_map, document));
-    const int64_t size = static_cast<int64_t>(data.size());
+    ASSIGN_OR_RETURN(typename Core::Prepared doc,
+                     core_.Prepare(doc_id, document));
+    const int64_t size = doc.size();
     if (next_base_ + size - 1 > INT32_MAX)
       return Status::FailedPrecondition("collection node-id space exhausted");
-    const int32_t base = static_cast<int32_t>(next_base_);
-
-    // The legacy namespace "" belongs to the FIRST document ever added
-    // (next_epoch_ 0), not merely the first live one — a remove/re-add
-    // cycle must never hand a fresh document an already-used PRF prefix.
-    const std::string prefix =
-        (next_epoch_ == 0 && legacy_share_paths_)
-            ? ""
-            : "d" + std::to_string(doc_id) + "." + std::to_string(next_epoch_);
-    for (auto& node : data.nodes) node.path = JoinSharePath(prefix, node.path);
-
-    ASSIGN_OR_RETURN(std::vector<PolyTree<Ring>> trees,
-                     SplitForServers(data, prefix));
-
-    // Ship one AddDoc per server; on a partial failure, retire the copies
-    // already registered so the servers stay consistent.
-    for (size_t s = 0; s < trees.size(); ++s) {
-      AddDocRequest req;
-      req.doc_id = doc_id;
-      req.base = base;
-      ByteWriter bytes;
-      ServerStore<Ring> store(ring_, std::move(trees[s]));
-      SaveServerStore(store, &bytes);
-      req.store_bytes = bytes.Take();
-      auto ack = group_.endpoints[s]->AddDoc(req);
-      if (!ack.ok()) {
-        // Undo includes server s itself: a transport retry may have
-        // applied the add there even though the call reported failure
-        // (RemoveDoc is a harmless NotFound where it never landed).
-        RemoveDocRequest undo;
-        undo.doc_id = doc_id;
-        for (size_t u = 0; u <= s; ++u)
-          (void)group_.endpoints[u]->RemoveDoc(undo);  // best effort
-        return ack.status();
-      }
-    }
-
-    tag_map_ = std::move(next_map);
-    RebuildClient();
-    docs_.push_back({doc_id, base, size, prefix});
+    ASSIGN_OR_RETURN(const DocRecord* added,
+                     core_.Ship(doc_id, std::move(doc),
+                                static_cast<int32_t>(next_base_), servers_));
     next_base_ += size;
-    ++next_epoch_;
     // Only Add sees the plaintext, so this is the one chance to build the
     // document's pre-filter; docs outsourced before the knob was turned on
     // simply have none and are always walked.
     if (prefilter_enabled_) {
       filters_.emplace(doc_id,
-                       DocBloomFilter::Build(seed_, prefix,
+                       DocBloomFilter::Build(core_.seed(), added->prefix,
                                              document.DistinctTags(),
                                              prefilter_options_));
     }
@@ -363,27 +221,11 @@ class Collection {
 
   /// Retires `doc_id` on every server. Other documents keep their node-id
   /// ranges (ids are never reused), so their answers are bit-identical.
-  /// Idempotent and retryable: every server is attempted even after one
-  /// fails, and a server that already retired the doc (NotFound) counts
-  /// as done — so a partial failure leaves the doc in the collection and
-  /// a later Remove finishes the job on the servers that missed it.
+  /// Idempotent and retryable: a partial failure leaves the doc in the
+  /// collection, and a later Remove finishes the servers that missed it.
   Status Remove(DocId doc_id) {
-    const Doc* doc = FindDoc(doc_id);
-    if (doc == nullptr)
-      return Status::NotFound("doc id " + std::to_string(doc_id) +
-                              " is not in the collection");
-    RemoveDocRequest req;
-    req.doc_id = doc_id;
-    Status first_error = Status::Ok();
-    for (size_t s = 0; s < group_.endpoints.size(); ++s) {
-      auto ack = group_.endpoints[s]->RemoveDoc(req);
-      if (!ack.ok() && ack.status().code() != StatusCode::kNotFound &&
-          first_error.ok()) {
-        first_error = ack.status();
-      }
-    }
-    RETURN_IF_ERROR(first_error);
-    docs_.erase(docs_.begin() + (doc - docs_.data()));
+    RETURN_IF_ERROR(core_.docs().Require(doc_id).status());
+    RETURN_IF_ERROR(core_.Retire(doc_id, servers_.group));
     filters_.erase(doc_id);
     ++generation_;
     RebuildSession();
@@ -403,7 +245,7 @@ class Collection {
       if (const auto* hit = CacheFind(key)) return (*hit)[0];
     }
     ASSIGN_OR_RETURN(LookupResult r, session_->Lookup(tag, mode));
-    ASSIGN_OR_RETURN(CollectionResult c, Partition(std::move(r)));
+    ASSIGN_OR_RETURN(CollectionResult c, Partition(r));
     if (!key.empty()) CacheStore(std::move(key), {c});
     return c;
   }
@@ -428,8 +270,8 @@ class Collection {
     ASSIGN_OR_RETURN(MultiLookupResult multi, RunBatch(queries));
     std::vector<CollectionResult> out;
     out.reserve(multi.per_tag.size());
-    for (LookupResult& r : multi.per_tag) {
-      ASSIGN_OR_RETURN(CollectionResult c, Partition(std::move(r)));
+    for (const LookupResult& r : multi.per_tag) {
+      ASSIGN_OR_RETURN(CollectionResult c, Partition(r));
       out.push_back(std::move(c));
     }
     if (!key.empty()) CacheStore(std::move(key), out);
@@ -451,7 +293,7 @@ class Collection {
     ASSIGN_OR_RETURN(XPathQuery query, XPathQuery::Parse(std::string(xpath)));
     ASSIGN_OR_RETURN(LookupResult r,
                      session_->EvaluateXPath(query, strategy, mode));
-    ASSIGN_OR_RETURN(CollectionResult c, Partition(std::move(r)));
+    ASSIGN_OR_RETURN(CollectionResult c, Partition(r));
     if (!key.empty()) CacheStore(std::move(key), {c});
     return c;
   }
@@ -460,16 +302,14 @@ class Collection {
   /// paths in the result are document-local.
   Result<LookupResult> SearchDoc(DocId doc_id, std::string_view tag,
                                  VerifyMode mode = VerifyMode::kVerified) {
-    const Doc* doc = FindDoc(doc_id);
-    if (doc == nullptr)
-      return Status::NotFound("doc id " + std::to_string(doc_id) +
-                              " is not in the collection");
-    QuerySession<Ring> session(client_.get(), group_,
+    ASSIGN_OR_RETURN(const DocRecord* doc, core_.docs().Require(doc_id));
+    QuerySession<Ring> session(core_.client(), servers_.group,
                                {{doc->base, doc->prefix}});
     ASSIGN_OR_RETURN(LookupResult r, session.Lookup(tag, mode));
-    LocalizeMatches(*doc, &r.matches);
-    LocalizeMatches(*doc, &r.possible);
-    return r;
+    ASSIGN_OR_RETURN(CollectionResult c, Partition(r));
+    LookupResult out = std::move(c.per_doc[doc_id]);
+    out.stats = r.stats;  // also when the document has no match
+    return out;
   }
 
   // --------------------------------------------------------- persistence
@@ -485,10 +325,10 @@ class Collection {
       return Status::FailedPrecondition(
           "connected collections do not hold the server stores; use "
           "SaveKey");
-    for (size_t s = 0; s < registries_.size(); ++s) {
+    for (size_t s = 0; s < servers_.registries.size(); ++s) {
       ByteWriter bytes;
-      SaveStoreRegistry(*registries_[s], &bytes);
-      const std::string path = group_.scheme == ShareScheme::kTwoParty
+      SaveStoreRegistry(*servers_.registries[s], &bytes);
+      const std::string path = core_.scheme() == ShareScheme::kTwoParty
                                    ? store_path
                                    : MultiServerStorePath(store_path, s);
       RETURN_IF_ERROR(WriteFileBytes(path, bytes.span()));
@@ -499,27 +339,9 @@ class Collection {
   /// Persists the client secret state (seed, tag map, deployment shape,
   /// document table) — everything a networked client needs to Connect.
   Status SaveKey(const std::string& key_path) const {
-    ClientSecretFile key;
-    key.seed = seed_.seed();
-    key.tag_map = tag_map_;
-    key.z_coeff_bits = split_options_.z_coeff_bits;
-    key.scheme = group_.scheme;
-    key.num_servers = static_cast<int>(group_.endpoints.size());
-    key.threshold = group_.threshold;
-    if constexpr (std::is_same_v<Ring, FpCyclotomicRing>) {
-      key.ring_kind = static_cast<uint8_t>(StoredRingKind::kFpCyclotomic);
-      key.fp_p = ring_.p();
-    } else {
-      key.ring_kind = static_cast<uint8_t>(StoredRingKind::kZQuotient);
-      key.z_modulus = ring_.modulus();
-    }
-    for (const Doc& doc : docs_)
-      key.docs.push_back({doc.id, doc.base, doc.size, doc.prefix});
+    ClientSecretFile key = core_.KeyFile();
     key.next_base = next_base_;
-    key.next_epoch = next_epoch_;
-    ByteWriter bytes;
-    key.Serialize(&bytes);
-    return WriteFileBytes(key_path, bytes.span());
+    return Core::WriteKey(key, key_path);
   }
 
   /// Where Save puts server `i`'s share file of a multi-server deployment.
@@ -530,49 +352,40 @@ class Collection {
 
   // -------------------------------------------------------- introspection
 
-  const Ring& ring() const { return ring_; }
-  const ClientContext<Ring>& client() const { return *client_; }
-  ShareScheme scheme() const { return group_.scheme; }
-  size_t num_servers() const { return group_.endpoints.size(); }
-  size_t num_docs() const { return docs_.size(); }
-  bool contains(DocId doc_id) const { return FindDoc(doc_id) != nullptr; }
-  /// Ids in node-id (insertion) order.
-  std::vector<DocId> doc_ids() const {
-    std::vector<DocId> out;
-    out.reserve(docs_.size());
-    for (const Doc& doc : docs_) out.push_back(doc.id);
-    return out;
+  const Ring& ring() const { return core_.ring(); }
+  const ClientContext<Ring>& client() const { return *core_.client(); }
+  ShareScheme scheme() const { return core_.scheme(); }
+  size_t num_servers() const { return servers_.group.endpoints.size(); }
+  size_t num_docs() const { return core_.docs().size(); }
+  bool contains(DocId doc_id) const {
+    return core_.docs().Find(doc_id) != nullptr;
   }
+  /// Ids in node-id (insertion) order.
+  std::vector<DocId> doc_ids() const { return core_.docs().ids(); }
   /// The PRF namespace of one document's derived secrets ("" for the
   /// legacy single document). Unique per Add — never reused even when a
   /// doc id is removed and re-added — so derived keys never collide.
   Result<std::string> share_prefix(DocId doc_id) const {
-    const Doc* doc = FindDoc(doc_id);
-    if (doc == nullptr)
-      return Status::NotFound("doc id " + std::to_string(doc_id) +
-                              " is not in the collection");
+    ASSIGN_OR_RETURN(const DocRecord* doc, core_.docs().Require(doc_id));
     return doc->prefix;
   }
 
   /// Total nodes across every document of the collection.
-  size_t total_nodes() const {
-    size_t sum = 0;
-    for (const Doc& doc : docs_) sum += static_cast<size_t>(doc.size);
-    return sum;
-  }
+  size_t total_nodes() const { return core_.docs().total_nodes(); }
 
   /// Server `s`'s registry (what a network frontend serves), or null for a
   /// connected collection whose servers live elsewhere.
   ServerStoreRegistry<Ring>* registry(size_t s = 0) {
-    return s < registries_.size() ? registries_[s].get() : nullptr;
+    return s < servers_.registries.size() ? servers_.registries[s].get()
+                                          : nullptr;
   }
   /// Server `s`'s protocol handler — thread-safe, SocketServer-servable.
   ServerHandler* handler(size_t s = 0) { return registry(s); }
   /// One document's share store on server `s` (collection-owned servers).
   Result<const ServerStore<Ring>*> doc_store(size_t s, DocId doc_id) const {
-    if (s >= registries_.size())
+    if (s >= servers_.registries.size())
       return Status::InvalidArgument("no such server");
-    return registries_[s]->store(doc_id);
+    return servers_.registries[s]->store(doc_id);
   }
 
   /// The session, for callers needing the full §4.3 API surface. Walks
@@ -585,28 +398,25 @@ class Collection {
   /// null when `i` is not a server index. Composable: wrapping twice
   /// stacks faults.
   FaultInjectingEndpoint* InjectFaults(size_t i, FaultConfig config) {
-    if (i >= group_.endpoints.size()) return nullptr;
-    faults_.push_back(std::make_unique<FaultInjectingEndpoint>(
-        group_.endpoints[i], std::move(config)));
-    group_.endpoints[i] = faults_.back().get();
+    FaultInjectingEndpoint* fault =
+        servers_.InjectFaults(i, std::move(config));
+    if (fault == nullptr) return nullptr;
     ++generation_;  // cached answers predate the faults; don't serve them
     RebuildSession();
-    return faults_.back().get();
+    return fault;
   }
 
   /// Reconfigures the fan-out executor: <= 1 reverts to sequential inline
   /// dispatch, larger values (re)build the worker pool. Answers are
   /// bit-identical either way; only wall time changes.
   void SetWorkerThreadCount(int worker_threads) {
-    SetUpPool(worker_threads);
-    group_.executor = pool_ != nullptr ? pool_.get() : external_executor_;
+    core_.SetUpPool(worker_threads);
+    servers_.group.executor = core_.executor();
     if (session_ != nullptr) RebuildSession();
   }
 
   /// The executor fan-out currently runs on (null = sequential inline).
-  Executor* executor() const {
-    return pool_ != nullptr ? pool_.get() : external_executor_;
-  }
+  Executor* executor() const { return core_.executor(); }
 
   // ------------------------------------------------- client-side caching
 
@@ -639,16 +449,12 @@ class Collection {
   /// Cumulative wire cost across every server endpoint since attachment —
   /// unlike last_stats(), this moves only when messages actually flow, so
   /// a cache hit shows up as an unchanged snapshot.
-  TransportCounters transport_totals() const {
-    TransportCounters sum;
-    for (const ServerEndpoint* ep : group_.endpoints) sum.Add(ep->counters());
-    return sum;
-  }
+  TransportCounters transport_totals() const { return servers_.counters(); }
 
   /// Resolves the document owning global node id `id` together with its
   /// document-local id — how cross-document results map back to documents.
   Result<std::pair<DocId, int32_t>> ResolveNode(int32_t id) const {
-    const Doc* doc = FindDocByNode(id);
+    const DocRecord* doc = core_.docs().FindByNode(id);
     if (doc == nullptr)
       return Status::NotFound("node id " + std::to_string(id) +
                               " belongs to no document");
@@ -656,229 +462,28 @@ class Collection {
   }
 
  private:
-  struct Doc {
-    DocId id = 0;
-    int32_t base = 0;
-    int64_t size = 0;
-    std::string prefix;
-  };
+  using Core = DeploymentCore<Ring>;
 
-  Collection(Ring ring, DeterministicPrf seed, ShareSplitOptions split_options)
-      : ring_(std::move(ring)),
-        seed_(std::move(seed)),
-        split_options_(split_options) {
-    RebuildClient();
-  }
+  explicit Collection(Core core) : core_(std::move(core)) {}
 
-  static int EffectiveThreshold(const Deploy& deploy) {
-    return deploy.threshold > 0 ? deploy.threshold : deploy.num_servers;
-  }
-
-  static bool SameRing(const Ring& a, const Ring& b) {
-    if constexpr (std::is_same_v<Ring, FpCyclotomicRing>)
-      return a.p() == b.p();
-    else
-      return a.modulus() == b.modulus();
-  }
-
-  /// The collection's fixed ring from Create-time options.
-  static Result<Ring> MakeRing(const Deploy& deploy,
-                               const OutsourceOptions& options) {
-    if constexpr (std::is_same_v<Ring, FpCyclotomicRing>) {
-      uint64_t p = options.p;
-      if (p == 0) {
-        // No document in sight yet: size the field for the default tag
-        // capacity, leaving room for Shamir party points at x = 1..n.
-        p = PrimeForAlphabet(kDefaultTagCapacity);
-        if (deploy.scheme == ShareScheme::kShamir)
-          p = NextPrime(std::max(
-              p, static_cast<uint64_t>(deploy.num_servers) + 1));
-      }
-      return FpCyclotomicRing::Create(p);
-    } else {
-      return ZQuotientRing::Create(options.r);
-    }
-  }
-
-  static Result<Ring> RingFromKey(const ClientSecretFile& key) {
-    if constexpr (std::is_same_v<Ring, FpCyclotomicRing>) {
-      if (key.ring_kind != static_cast<uint8_t>(StoredRingKind::kFpCyclotomic))
-        return Status::InvalidArgument(
-            "key file lacks F_p ring parameters (re-save with this build)");
-      return FpCyclotomicRing::Create(key.fp_p);
-    } else {
-      if (key.ring_kind != static_cast<uint8_t>(StoredRingKind::kZQuotient))
-        return Status::InvalidArgument(
-            "key file lacks Z-ring parameters (re-save with this build)");
-      return ZQuotientRing::Create(key.z_modulus);
-    }
-  }
-
-  /// Map options for a freshly created collection.
-  static TagMap::Options BuildMapOptions(const Ring& ring,
-                                         const OutsourceOptions& options) {
-    TagMap::Options out;
-    if constexpr (std::is_same_v<Ring, FpCyclotomicRing>) {
-      out.max_value = ring.MaxTagValue();  // Lemma 3: exclude p-1
-      out.assignment = options.assignment;
-    } else {
-      out.max_value = options.max_tag_value;
-      if (options.safe_tag_values)
-        out.allowed_values = ring.SafeTagValues(
-            options.max_tag_value,
-            /*max_tag_distance=*/options.max_tag_value);
-    }
-    return out;
-  }
-
-  static ShareSplitOptions MakeSplitOptions(const OutsourceOptions& options) {
-    ShareSplitOptions out;
-    if constexpr (std::is_same_v<Ring, ZQuotientRing>)
-      out.z_coeff_bits = options.coeff_bits;
-    return out;
-  }
-
-  /// Map options for Extend, derived from the ring (Fp) or the persisted
-  /// map's value range (Z reopened collections). The Create-time knobs are
-  /// not persisted, so a reopened collection extends with the defaults:
-  /// keyed-random assignment (the debug-only sequential mode is not
-  /// restored) and, for Z, the safe-tag-value pool (recommended; a
-  /// collection created with safe_tag_values=false draws new tags from
-  /// the stricter pool after reopening).
-  TagMap::Options ReconstructMapOptions() const {
-    TagMap::Options out;
-    if constexpr (std::is_same_v<Ring, FpCyclotomicRing>) {
-      out.max_value = ring_.MaxTagValue();
-    } else {
-      out.max_value = tag_map_.max_value();
-      out.allowed_values =
-          ring_.SafeTagValues(out.max_value, /*max_tag_distance=*/out.max_value);
-    }
-    return out;
-  }
-
-  Status ValidateShape(ShareScheme scheme, int num_servers,
-                       int threshold) const {
-    switch (scheme) {
-      case ShareScheme::kTwoParty:
-        if (num_servers != 1)
-          return Status::InvalidArgument("two-party scheme takes one server");
-        return Status::Ok();
-      case ShareScheme::kAdditive:
-        if (num_servers < 1)
-          return Status::InvalidArgument("need at least one server");
-        return Status::Ok();
-      case ShareScheme::kShamir:
-        if (!std::is_same_v<Ring, FpCyclotomicRing>)
-          return Status::Unimplemented("Shamir t-of-n requires the F_p ring");
-        (void)threshold;  // range-checked by EndpointGroup::Validate
-        return Status::Ok();
-    }
-    return Status::InvalidArgument("unknown share scheme");
-  }
-
-  /// Splits a (prefixed) data tree for the deployment's scheme.
-  Result<std::vector<PolyTree<Ring>>> SplitForServers(
-      const PolyTree<Ring>& data, const std::string& prefix) {
-    std::vector<PolyTree<Ring>> trees;
-    switch (group_.scheme) {
-      case ShareScheme::kTwoParty: {
-        SharedTrees<Ring> shares =
-            SplitShares(ring_, data, seed_, split_options_);
-        trees.push_back(std::move(shares.server));
-        break;
-      }
-      case ShareScheme::kAdditive: {
-        ASSIGN_OR_RETURN(
-            trees, SplitSharesAcrossServers(
-                       ring_, data, seed_,
-                       static_cast<int>(group_.endpoints.size()),
-                       split_options_));
-        break;
-      }
-      case ShareScheme::kShamir: {
-        if constexpr (std::is_same_v<Ring, FpCyclotomicRing>) {
-          // Per-document randomness stream; the unprefixed label is the
-          // historical single-document one.
-          ChaChaRng rng = seed_.Stream(
-              prefix.empty() ? "shamir-split" : "shamir-split/" + prefix);
-          ASSIGN_OR_RETURN(
-              trees, SplitSharesShamir(
-                         ring_, data, group_.threshold,
-                         static_cast<int>(group_.endpoints.size()), rng));
-        } else {
-          return Status::Unimplemented("Shamir t-of-n requires the F_p ring");
-        }
-        break;
-      }
-    }
-    return trees;
-  }
-
-  Status AttachEndpoints(EndpointKind kind, ShareScheme scheme,
-                         int threshold) {
-    std::vector<ServerEndpoint*> eps;
-    for (const auto& registry : registries_) {
-      if (kind == EndpointKind::kLoopback) {
-        endpoints_.push_back(
-            std::make_unique<LoopbackEndpoint>(registry.get()));
-      } else {
-        endpoints_.push_back(
-            std::make_unique<InProcessEndpoint>(registry.get()));
-      }
-      eps.push_back(endpoints_.back().get());
-    }
-    return FinishGroup(std::move(eps), scheme, threshold, pool_.get());
-  }
-
-  Status AttachExternal(std::vector<ServerEndpoint*> eps, ShareScheme scheme,
-                        int threshold, Executor* executor) {
-    external_executor_ = executor;
-    return FinishGroup(std::move(eps), scheme, threshold, executor);
-  }
-
-  Status FinishGroup(std::vector<ServerEndpoint*> eps, ShareScheme scheme,
-                     int threshold, Executor* executor) {
-    switch (scheme) {
-      case ShareScheme::kTwoParty:
-        group_ = EndpointGroup::TwoParty(eps[0]);
-        break;
-      case ShareScheme::kAdditive:
-        group_ = EndpointGroup::Additive(std::move(eps));
-        break;
-      case ShareScheme::kShamir:
-        group_ = EndpointGroup::Shamir(std::move(eps), threshold);
-        break;
-    }
-    group_.executor = executor;
-    RETURN_IF_ERROR(group_.Validate());
-    RebuildSession();
-    return Status::Ok();
-  }
-
-  void SetUpPool(int worker_threads) {
-    if (worker_threads > 1) {
-      pool_ = std::make_unique<ThreadPool>(static_cast<size_t>(worker_threads));
-    } else {
-      pool_.reset();
-    }
-  }
-
-  void RebuildClient() {
-    client_ = std::make_unique<ClientContext<Ring>>(
-        ClientContext<Ring>::SeedOnly(ring_, tag_map_, seed_, split_options_));
-  }
-
-  std::vector<SessionRoot> Roots() const {
-    std::vector<SessionRoot> roots;
-    roots.reserve(docs_.size());
-    for (const Doc& doc : docs_) roots.push_back({doc.base, doc.prefix});
-    return roots;
+  /// How many servers an unsharded key names. A v4 key with a shard table
+  /// describes several server groups; read as one group it would misroute
+  /// every node id, so it is refused up front.
+  static Result<int> ServerCount(const ClientSecretFile& key) {
+    if (!key.shards.empty())
+      return Status::InvalidArgument(
+          "key file has a shard table; open it with ShardedCollection");
+    const int num_servers =
+        key.scheme == ShareScheme::kTwoParty ? 1 : key.num_servers;
+    if (num_servers < 1)
+      return Status::Corruption("key file names no servers");
+    return num_servers;
   }
 
   void RebuildSession() {
-    session_ =
-        std::make_unique<QuerySession<Ring>>(client_.get(), group_, Roots());
+    session_ = std::make_unique<QuerySession<Ring>>(
+        core_.client(), servers_.group,
+        core_.docs().Roots([](const DocRecord&) { return true; }));
   }
 
   /// Runs the shared-walk batch, narrowing the frontier to documents whose
@@ -892,25 +497,22 @@ class Collection {
     std::vector<std::vector<std::array<uint8_t, 32>>> trapdoors;
     trapdoors.reserve(queries.size());
     for (const Query& q : queries)
-      trapdoors.push_back(
-          DocBloomFilter::QueryTrapdoors(seed_, q.tag, prefilter_options_));
-    std::vector<SessionRoot> roots;
-    roots.reserve(docs_.size());
-    for (const Doc& doc : docs_) {
-      auto it = filters_.find(doc.id);
-      bool include =
-          it == filters_.end() ||
-          it->second.num_hashes() != prefilter_options_.num_hashes;
-      for (size_t i = 0; !include && i < trapdoors.size(); ++i)
-        include = it->second.MayContain(trapdoors[i]);
-      if (include) {
-        roots.push_back({doc.base, doc.prefix});
-      } else {
-        ++last_prefilter_skipped_;
-      }
-    }
-    if (roots.size() == docs_.size()) return session_->LookupBatch(queries);
-    QuerySession<Ring> session(client_.get(), group_, std::move(roots));
+      trapdoors.push_back(DocBloomFilter::QueryTrapdoors(core_.seed(), q.tag,
+                                                         prefilter_options_));
+    std::vector<SessionRoot> roots =
+        core_.docs().Roots([&](const DocRecord& doc) {
+          auto it = filters_.find(doc.id);
+          bool include =
+              it == filters_.end() ||
+              it->second.num_hashes() != prefilter_options_.num_hashes;
+          for (size_t i = 0; !include && i < trapdoors.size(); ++i)
+            include = it->second.MayContain(trapdoors[i]);
+          return include;
+        });
+    last_prefilter_skipped_ = core_.docs().size() - roots.size();
+    if (last_prefilter_skipped_ == 0) return session_->LookupBatch(queries);
+    QuerySession<Ring> session(core_.client(), servers_.group,
+                               std::move(roots));
     return session.LookupBatch(queries);
   }
 
@@ -957,82 +559,18 @@ class Collection {
     cache_order_.pop_back();
   }
 
-  const Doc* FindDoc(DocId doc_id) const {
-    for (const Doc& doc : docs_)
-      if (doc.id == doc_id) return &doc;
-    return nullptr;
-  }
-
-  /// docs_ is sorted by base: the owner is the last doc starting at or
-  /// below `id` (if `id` falls inside its range).
-  const Doc* FindDocByNode(int32_t id) const {
-    const Doc* owner = nullptr;
-    for (const Doc& doc : docs_) {
-      if (doc.base > id) break;
-      owner = &doc;
-    }
-    if (owner == nullptr) return nullptr;
-    if (static_cast<int64_t>(id) >= owner->base + owner->size) return nullptr;
-    return owner;
-  }
-
-  /// Strips a document's share prefix off a session-global path.
-  static std::string LocalPath(const Doc& doc, const std::string& path) {
-    if (doc.prefix.empty()) return path;
-    if (path == doc.prefix) return "";
-    return path.substr(doc.prefix.size() + 1);
-  }
-
-  void LocalizeMatches(const Doc& doc, std::vector<MatchedNode>* v) const {
-    for (MatchedNode& m : *v) {
-      m.node_id -= doc.base;
-      m.path = LocalPath(doc, m.path);
-    }
-  }
-
-  Result<CollectionResult> Partition(LookupResult&& r) const {
-    CollectionResult out;
-    out.stats = r.stats;
-    auto scatter = [&](std::vector<MatchedNode>& from,
-                       bool possible) -> Status {
-      for (MatchedNode& m : from) {
-        const Doc* doc = FindDocByNode(m.node_id);
-        if (doc == nullptr)
-          return Status::Internal("match outside every document's id range");
-        MatchedNode local{m.node_id - doc->base, LocalPath(*doc, m.path)};
-        if (possible) {
-          out.per_doc[doc->id].possible.push_back(std::move(local));
-        } else {
-          out.per_doc[doc->id].matches.push_back(std::move(local));
-        }
-      }
-      return Status::Ok();
-    };
-    RETURN_IF_ERROR(scatter(r.matches, false));
-    RETURN_IF_ERROR(scatter(r.possible, true));
-    for (auto& [id, result] : out.per_doc) result.stats = out.stats;
+  Result<CollectionResult> Partition(const LookupResult& r) const {
+    CollectionResult out{{}, r.stats};
+    RETURN_IF_ERROR(core_.docs().Scatter(r, r.stats, &out.per_doc));
     return out;
   }
 
-  Ring ring_;
-  DeterministicPrf seed_;
-  TagMap tag_map_;
-  TagMap::Options map_options_;
-  ShareSplitOptions split_options_;
-  bool legacy_share_paths_ = false;
+  Core core_;
+  ServerGroup<Ring> servers_;
+  std::unique_ptr<QuerySession<Ring>> session_;
   bool owns_servers_ = true;
   bool can_add_ = true;
-  std::unique_ptr<ClientContext<Ring>> client_;
-  std::vector<std::unique_ptr<ServerStoreRegistry<Ring>>> registries_;
-  std::vector<std::unique_ptr<ServerEndpoint>> endpoints_;
-  std::vector<std::unique_ptr<FaultInjectingEndpoint>> faults_;
-  std::unique_ptr<ThreadPool> pool_;
-  Executor* external_executor_ = nullptr;
-  EndpointGroup group_;
-  std::unique_ptr<QuerySession<Ring>> session_;
-  std::vector<Doc> docs_;  ///< sorted by base
   int64_t next_base_ = 0;
-  uint64_t next_epoch_ = 0;
 
   // Hot-query cache (off until SetQueryCacheCapacity).
   struct CacheEntry {

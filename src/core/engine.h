@@ -14,11 +14,13 @@
 //                                  // many concurrent //tag queries
 //
 // Since the collection redesign, Engine IS a one-entry
-// polysse::Collection (core/collection.h) — the single code path for
-// outsourcing, serving and querying. Use a Collection directly when you
-// have more than one document; Engine stays the ergonomic special case
-// (and the compatibility shell for pre-collection key/store files, whose
-// shares it keeps deriving identically via Deploy::legacy_share_paths).
+// polysse::Collection (core/collection.h), which in turn sits on the
+// deployment core (core/deployment.h) shared with ShardedCollection — the
+// single code path for outsourcing, serving and querying. Use a Collection
+// directly when you have more than one document; Engine stays the
+// ergonomic special case (and the compatibility shell for pre-collection
+// key/store files, whose shares the core keeps deriving identically via
+// Deploy::legacy_share_paths).
 //
 // The engine owns the demo-grade server side (one ServerStoreRegistry per
 // server, fronted by InProcess or Loopback endpoints); a networked

@@ -33,6 +33,15 @@
 
 namespace polysse {
 
+/// True when two rings of one kind have the same parameters.
+template <typename Ring>
+bool SameRing(const Ring& a, const Ring& b) {
+  if constexpr (std::is_same_v<Ring, FpCyclotomicRing>)
+    return a.p() == b.p();
+  else
+    return a.modulus() == b.modulus();
+}
+
 /// One server's document registry. Implements ServerHandler, so it plugs
 /// into any ServerEndpoint (and SocketServer) exactly like a single
 /// ServerStore does — a single-store server is just the degenerate
@@ -294,13 +303,6 @@ class ServerStoreRegistry : public ServerHandler {
     std::vector<int32_t> local_ids;
     std::vector<size_t> positions;
   };
-
-  static bool SameRing(const Ring& a, const Ring& b) {
-    if constexpr (std::is_same_v<Ring, FpCyclotomicRing>)
-      return a.p() == b.p();
-    else
-      return a.modulus() == b.modulus();
-  }
 
   size_t TotalNodesLocked() const {
     size_t sum = 0;

@@ -3,10 +3,15 @@
 // unsharded Collection over the same documents, across every share scheme
 // and verify mode, before AND after online shard splits and merges;
 // per-shard stats roll-ups; dead-shard handling; Save/Open and Connect
-// (over real TCP) round trips; and node-id space reclamation under a
-// remove-heavy churn loop.
+// (over real TCP) round trips; node-id space reclamation under a
+// remove-heavy churn loop; a one-shard deployment matching the flat
+// Collection in stored bytes and protocol cost; exact answers after a
+// split or merge fails midway; Shamir threshold 0 meaning "all"; and the
+// flat loader refusing a sharded key.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -48,6 +53,39 @@ void ExpectSameAnswers(const CollectionResult& want, const ShardedResult& got,
     EXPECT_EQ(r.matches, it->second.matches) << label << " doc " << id;
     EXPECT_EQ(r.possible, it->second.possible) << label << " doc " << id;
   }
+}
+
+/// Every tag of `tags` in every verify mode: the sharded answers must equal
+/// the flat oracle's.
+void ExpectAllAnswersMatch(FpCollection& oracle, FpShardedCollection& col,
+                           const std::vector<std::string>& tags,
+                           const std::string& label) {
+  for (const std::string& tag : tags) {
+    for (VerifyMode mode : kAllModes) {
+      auto want = oracle.Search(tag, mode);
+      ASSERT_TRUE(want.ok()) << label << ": " << want.status().ToString();
+      auto got = col.Search(tag, mode);
+      ASSERT_TRUE(got.ok()) << label << ": " << got.status().ToString();
+      ExpectSameAnswers(*want, *got, label + " //" + tag);
+    }
+  }
+}
+
+/// Distinct tags across `docs`, in first-seen order.
+std::vector<std::string> AllTags(
+    const std::vector<std::pair<DocId, XmlNode>>& docs) {
+  std::vector<std::string> tags;
+  for (const auto& [id, doc] : docs)
+    for (const std::string& t : doc.DistinctTags())
+      if (std::find(tags.begin(), tags.end(), t) == tags.end())
+        tags.push_back(t);
+  return tags;
+}
+
+std::vector<uint8_t> FileBytes(const std::string& path) {
+  auto bytes = ReadFileBytes(path);
+  EXPECT_TRUE(bytes.ok()) << path;
+  return bytes.ok() ? *bytes : std::vector<uint8_t>{};
 }
 
 // ------------------------------------------------------------ ShardMap --
@@ -276,6 +314,84 @@ TEST(ShardTest, MultiServerSchemesSurviveSplitAndMerge) {
   }
 }
 
+TEST(ShardTest, OneShardCostsExactlyWhatFlatCollectionCosts) {
+  // Both facades outsource, retire and localize through one deployment
+  // core, so with a single shard the sharded facade must match the flat
+  // Collection in stored bytes and protocol cost, not only in answers.
+  struct Case {
+    const char* label;
+    ShareScheme scheme;
+    int num_servers;
+    int threshold;
+  };
+  const Case cases[] = {{"two-party", ShareScheme::kTwoParty, 1, 0},
+                        {"additive k=3", ShareScheme::kAdditive, 3, 0},
+                        {"shamir 2-of-3", ShareScheme::kShamir, 3, 2}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.label);
+    DeterministicPrf seed = DeterministicPrf::FromString("shard-one");
+    FpCollection::Deploy flat_deploy;
+    flat_deploy.scheme = c.scheme;
+    flat_deploy.num_servers = c.num_servers;
+    flat_deploy.threshold = c.threshold;
+    ShardDeploy deploy;
+    deploy.scheme = c.scheme;
+    deploy.num_servers = c.num_servers;
+    deploy.threshold = c.threshold;
+    deploy.num_shards = 1;
+    auto flat = FpCollection::Create(seed, flat_deploy).value();
+    auto col = FpShardedCollection::Create(seed, deploy).value();
+    std::vector<std::pair<DocId, XmlNode>> docs;
+    for (uint64_t d = 0; d < 5; ++d)
+      docs.emplace_back(d + 1, MakeDoc(860 + d, 18 + 2 * d, 5));
+    for (const auto& [id, doc] : docs) {
+      ASSERT_TRUE(flat->Add(id, doc).ok()) << id;
+      ASSERT_TRUE(col->Add(id, doc).ok()) << id;
+    }
+    ASSERT_TRUE(flat->Remove(2).ok());
+    ASSERT_TRUE(col->Remove(2).ok());
+
+    for (int s = 0; s < c.num_servers; ++s) {
+      ASSERT_NE(col->registry(0, s), nullptr);
+      EXPECT_EQ(col->registry(0, s)->PersistedBytes(),
+                flat->registry(s)->PersistedBytes())
+          << "server " << s;
+      ByteWriter want, got;
+      SaveStoreRegistry(*flat->registry(s), &want);
+      SaveStoreRegistry(*col->registry(0, s), &got);
+      EXPECT_TRUE(want.span().size() == got.span().size() &&
+                  std::equal(want.span().begin(), want.span().end(),
+                             got.span().begin()))
+          << "server " << s << " stores different bytes";
+    }
+
+    for (const std::string& tag : AllTags(docs)) {
+      for (VerifyMode mode : kAllModes) {
+        const std::string label =
+            "//" + tag + " mode " + std::to_string(static_cast<int>(mode));
+        auto want = flat->Search(tag, mode);
+        ASSERT_TRUE(want.ok()) << want.status().ToString();
+        auto got = col->Search(tag, mode);
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        ExpectSameAnswers(*want, *got, label);
+        const QueryStats& a = want->stats;
+        const QueryStats& b = got->stats;
+        EXPECT_EQ(a.rounds, b.rounds) << label;
+        EXPECT_EQ(a.fetch_rounds, b.fetch_rounds) << label;
+        EXPECT_EQ(a.nodes_visited, b.nodes_visited) << label;
+        EXPECT_EQ(a.server_evals, b.server_evals) << label;
+        EXPECT_EQ(a.client_evals, b.client_evals) << label;
+        EXPECT_EQ(a.reconstructions, b.reconstructions) << label;
+        EXPECT_EQ(a.transport.messages_up, b.transport.messages_up) << label;
+        EXPECT_EQ(a.transport.messages_down, b.transport.messages_down)
+            << label;
+        EXPECT_EQ(a.transport.bytes_up, b.transport.bytes_up) << label;
+        EXPECT_EQ(a.transport.bytes_down, b.transport.bytes_down) << label;
+      }
+    }
+  }
+}
+
 // ------------------------------------------------------ stats roll-up --
 
 TEST(ShardTest, RollupSumsTrafficAndTakesDeepestShardsRounds) {
@@ -348,6 +464,67 @@ TEST(ShardTest, DeadShardFailsLoudlyOrIsSkippedOnRequest) {
   EXPECT_FALSE(col->MergeShards(0, 1).ok());
   EXPECT_EQ(col->num_shards(), 3u);
   EXPECT_EQ(col->shard_of(on_dead[0]).value(), 1u);
+}
+
+TEST(ShardTest, FailedSplitLeavesSearchesExact) {
+  // One two-party shard of four documents. Server 0 answers two more
+  // calls — the export and the retirement of doc 3 — then dies before
+  // doc 4's export, so the split stops halfway with doc 3 already moved to
+  // the higher range of the new shard.
+  DeterministicPrf seed = DeterministicPrf::FromString("shard-split-fault");
+  std::vector<std::pair<DocId, XmlNode>> docs;
+  for (uint64_t d = 0; d < 4; ++d)
+    docs.emplace_back(d + 1, MakeDoc(880 + d, 16, 5));
+  auto oracle = FpCollection::Create(seed).value();
+  auto col = FpShardedCollection::Create(seed).value();
+  for (const auto& [id, doc] : docs) {
+    ASSERT_TRUE(oracle->Add(id, doc).ok());
+    ASSERT_TRUE(col->Add(id, doc).ok());
+  }
+  FaultConfig flaky;
+  flaky.fail_after_calls = 2;
+  FaultInjectingEndpoint* fault = col->InjectFaults(0, 0, flaky);
+  ASSERT_NE(fault, nullptr);
+  EXPECT_EQ(col->SplitShard(0, 1).code(), StatusCode::kUnavailable);
+  EXPECT_EQ(col->shard_of(3).value(), 1u);
+  EXPECT_EQ(col->shard_of(4).value(), 0u);
+  EXPECT_EQ(col->doc_ids(), (std::vector<DocId>{1, 2, 4, 3}));
+
+  fault->config().fail_after_calls = SIZE_MAX;
+  ExpectAllAnswersMatch(*oracle, *col, AllTags(docs), "after failed split");
+}
+
+TEST(ShardTest, FailedMergeLeavesSearchesExact) {
+  // Shard 0 drains into the higher shard 1; its server dies after moving
+  // one of its two documents, leaving that document above shard 1's own.
+  DeterministicPrf seed = DeterministicPrf::FromString("shard-merge-fault");
+  std::vector<std::pair<DocId, XmlNode>> docs;
+  for (uint64_t d = 0; d < 4; ++d)
+    docs.emplace_back(d + 1, MakeDoc(890 + d, 16, 5));
+  auto oracle = FpCollection::Create(seed).value();
+  ShardDeploy deploy;
+  deploy.num_shards = 2;
+  auto col = FpShardedCollection::Create(seed, deploy).value();
+  for (const auto& [id, doc] : docs) {
+    ASSERT_TRUE(oracle->Add(id, doc).ok());
+    ASSERT_TRUE(col->Add(id, doc).ok());
+  }
+  std::vector<DocId> on_zero;
+  for (const auto& [id, doc] : docs)
+    if (col->shard_of(id).value() == 0u) on_zero.push_back(id);
+  ASSERT_EQ(on_zero.size(), 2u);
+
+  FaultConfig flaky;
+  flaky.fail_after_calls = 2;
+  FaultInjectingEndpoint* fault = col->InjectFaults(0, 0, flaky);
+  ASSERT_NE(fault, nullptr);
+  EXPECT_EQ(col->MergeShards(1, 0).code(), StatusCode::kUnavailable);
+  EXPECT_EQ(col->num_shards(), 2u);
+  EXPECT_EQ(col->shard_of(on_zero[0]).value(), 1u);
+  EXPECT_EQ(col->shard_of(on_zero[1]).value(), 0u);
+
+  fault->config().fail_after_calls = SIZE_MAX;
+  ExpectAllAnswersMatch(*oracle, *col, AllTags(docs), "after failed merge");
 }
 
 TEST(ShardTest, ShamirShardNeedsOnlyThresholdAliveServers) {
@@ -431,6 +608,74 @@ TEST(ShardTest, SaveOpenRoundTripsShardedLayout) {
                                          "/tmp/polysse_flat.key");
   ASSERT_FALSE(wrong.ok());
   EXPECT_NE(wrong.status().message().find("shard table"), std::string::npos);
+}
+
+TEST(ShardTest, ShamirThresholdZeroMeansAllServers) {
+  // ShardDeploy::threshold = 0 means "all n", exactly as 3-of-3 would.
+  DeterministicPrf seed = DeterministicPrf::FromString("shard-threshold");
+  ShardDeploy zero;
+  zero.scheme = ShareScheme::kShamir;
+  zero.num_servers = 3;
+  zero.threshold = 0;
+  zero.num_shards = 2;
+  ShardDeploy all = zero;
+  all.threshold = 3;
+  auto a = FpShardedCollection::Create(seed, zero);
+  ASSERT_TRUE(a.ok()) << a.status().ToString();
+  auto b = FpShardedCollection::Create(seed, all);
+  ASSERT_TRUE(b.ok()) << b.status().ToString();
+  std::vector<std::pair<DocId, XmlNode>> docs;
+  for (uint64_t d = 0; d < 4; ++d)
+    docs.emplace_back(d + 1, MakeDoc(900 + d, 16, 5));
+  for (const auto& [id, doc] : docs) {
+    ASSERT_TRUE((*a)->Add(id, doc).ok());
+    ASSERT_TRUE((*b)->Add(id, doc).ok());
+  }
+  for (const std::string& tag : AllTags(docs)) {
+    for (VerifyMode mode : kAllModes) {
+      auto want = (*b)->Search(tag, mode).value();
+      auto got = (*a)->Search(tag, mode).value();
+      ASSERT_EQ(want.per_doc.size(), got.per_doc.size()) << "//" << tag;
+      for (const auto& [id, r] : want.per_doc) {
+        EXPECT_EQ(r.matches, got.per_doc.at(id).matches) << "//" << tag;
+        EXPECT_EQ(r.possible, got.per_doc.at(id).possible) << "//" << tag;
+      }
+    }
+  }
+  ASSERT_TRUE((*a)->SaveKey("/tmp/polysse_shard_t0.key").ok());
+  ASSERT_TRUE((*b)->SaveKey("/tmp/polysse_shard_t3.key").ok());
+  EXPECT_EQ(FileBytes("/tmp/polysse_shard_t0.key"),
+            FileBytes("/tmp/polysse_shard_t3.key"));
+}
+
+TEST(ShardTest, UnshardedLoaderRefusesShardedKey) {
+  // The reverse of the sharded loader's "no shard table" refusal: a v4
+  // shard-table key read as one group would misroute every node id.
+  DeterministicPrf seed = DeterministicPrf::FromString("shard-refuse");
+  ShardDeploy deploy;
+  deploy.num_shards = 2;
+  auto col = FpShardedCollection::Create(seed, deploy).value();
+  for (uint64_t d = 0; d < 4; ++d)
+    ASSERT_TRUE(col->Add(d + 1, MakeDoc(910 + d, 16, 5)).ok());
+  const std::string store = "/tmp/polysse_shard_refuse.bin";
+  const std::string key_path = "/tmp/polysse_shard_refuse.key";
+  ASSERT_TRUE(col->Save(store, key_path).ok());
+
+  auto opened = FpCollection::Open(store, key_path);
+  ASSERT_FALSE(opened.ok());
+  EXPECT_EQ(opened.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(opened.status().message().find("ShardedCollection"),
+            std::string::npos);
+
+  const std::vector<uint8_t> key_bytes = FileBytes(key_path);
+  ByteReader reader(key_bytes);
+  ClientSecretFile key = ClientSecretFile::Deserialize(&reader).value();
+  LoopbackEndpoint endpoint(col->handler(0));
+  auto connected = FpCollection::Connect(key, {&endpoint});
+  ASSERT_FALSE(connected.ok());
+  EXPECT_EQ(connected.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(connected.status().message().find("ShardedCollection"),
+            std::string::npos);
 }
 
 TEST(ShardTest, ConnectedCollectionScattersOverRealTcpAndSplitsOnline) {
