@@ -1,6 +1,7 @@
 #include "core/endpoint.h"
 
 #include <chrono>
+#include <memory>
 #include <thread>
 #include <unordered_set>
 
@@ -252,20 +253,40 @@ Result<Msg> CorruptBytes(const Msg& msg, size_t salt) {
 
 }  // namespace
 
+template <typename Resp, typename BeginFn>
+Deferred<Resp> FaultInjectingEndpoint::BeginFaulty(
+    BeginFn begin, std::function<void(Resp&)> FaultConfig::*tamper) {
+  Status admitted = Admit();
+  if (!admitted.ok()) return Deferred<Resp>(Result<Resp>(std::move(admitted)));
+  const size_t salt = calls();
+  auto inner = std::make_shared<Deferred<Resp>>(begin());
+  return Deferred<Resp>(std::function<Result<Resp>()>(
+      [this, inner, salt, tamper]() -> Result<Resp> {
+        ASSIGN_OR_RETURN(Resp resp, inner->Await());
+        if (config_.*tamper) (config_.*tamper)(resp);
+        if (config_.corrupt_response_bytes) return CorruptBytes(resp, salt);
+        return resp;
+      }));
+}
+
+Deferred<EvalResponse> FaultInjectingEndpoint::BeginEval(
+    const EvalRequest& req) {
+  return BeginFaulty<EvalResponse>([&] { return inner_->BeginEval(req); },
+                                   &FaultConfig::tamper_eval);
+}
+
+Deferred<FetchResponse> FaultInjectingEndpoint::BeginFetch(
+    const FetchRequest& req) {
+  return BeginFaulty<FetchResponse>([&] { return inner_->BeginFetch(req); },
+                                    &FaultConfig::tamper_fetch);
+}
+
 Result<EvalResponse> FaultInjectingEndpoint::Eval(const EvalRequest& req) {
-  RETURN_IF_ERROR(Admit());
-  ASSIGN_OR_RETURN(EvalResponse resp, inner_->Eval(req));
-  if (config_.tamper_eval) config_.tamper_eval(resp);
-  if (config_.corrupt_response_bytes) return CorruptBytes(resp, calls());
-  return resp;
+  return BeginEval(req).Await();
 }
 
 Result<FetchResponse> FaultInjectingEndpoint::Fetch(const FetchRequest& req) {
-  RETURN_IF_ERROR(Admit());
-  ASSIGN_OR_RETURN(FetchResponse resp, inner_->Fetch(req));
-  if (config_.tamper_fetch) config_.tamper_fetch(resp);
-  if (config_.corrupt_response_bytes) return CorruptBytes(resp, calls());
-  return resp;
+  return BeginFetch(req).Await();
 }
 
 Result<AdminAck> FaultInjectingEndpoint::AddDoc(const AddDocRequest& req) {

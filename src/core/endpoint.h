@@ -287,6 +287,15 @@ class FaultInjectingEndpoint final : public ServerEndpoint {
   /// which is exactly what a scatter-gather health check must observe.
   Result<PingResponse> Ping(const PingRequest& req) override;
 
+  /// Faults compose with the inner transport's pipelining: Begin* admits
+  /// the call (death check, latency) and forwards at once; tampering and
+  /// byte corruption apply when the answer is awaited.
+  Deferred<EvalResponse> BeginEval(const EvalRequest& req) override;
+  Deferred<FetchResponse> BeginFetch(const FetchRequest& req) override;
+  bool SupportsPipelining() const override {
+    return inner_->SupportsPipelining();
+  }
+
   TransportCounters counters() const override { return inner_->counters(); }
 
   /// Mutable mid-run: tests flip faults on after a healthy warm-up (from
@@ -297,6 +306,11 @@ class FaultInjectingEndpoint final : public ServerEndpoint {
  private:
   /// Shared pre-call gate: death check + latency. Unavailable once dead.
   Status Admit();
+  /// Admit, then `begin` on the inner endpoint; the returned Deferred
+  /// applies `tamper` and byte corruption to the inner answer.
+  template <typename Resp, typename BeginFn>
+  Deferred<Resp> BeginFaulty(BeginFn begin,
+                             std::function<void(Resp&)> FaultConfig::*tamper);
 
   ServerEndpoint* inner_;
   FaultConfig config_;

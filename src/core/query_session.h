@@ -17,18 +17,27 @@
 //
 // All three share schemes (§4.2's 2-party split, additive client+k servers,
 // Shamir t-of-n) run through the same EvalRequest/FetchRequest exchange;
-// only the client-side combination differs. Under Shamir, a server that
-// stops answering is marked dead and replaced by another live one as long
-// as at least `threshold` remain.
+// only the client-side combination differs.
 //
-// Per-round subrequests to the k servers fan out through the group's
-// Executor: sequentially inline by default, concurrently when the group
-// carries a ThreadPool — results are gathered into per-server slots, so the
-// combined answers are bit-identical either way and only wall time changes.
+// One fan-out primitive carries every Eval and Fetch: choose the servers
+// (all of them, or the first `threshold` live ones under Shamir), call
+// Begin* on each through the group's Executor (inline by default,
+// concurrently when the group carries a ThreadPool), await the Deferred
+// answers into per-server slots and check their shape. Under Shamir a
+// server that fails or answers malformed is marked dead and the request
+// is retried with a replacement as long as at least `threshold` remain;
+// the additive schemes return the error. Slots make the combined answers
+// bit-identical whatever the executor, and synchronous endpoints resolve
+// at Begin*, so they see the same call sequence as direct calls.
+//
+// Fetch rounds share that primitive and differ only in when they settle:
+// plan-then-fetch settles each round at once; overlap (every endpoint
+// pipelined) keeps one round per BFS round in flight until the walk ends.
 #ifndef POLYSSE_CORE_QUERY_SESSION_H_
 #define POLYSSE_CORE_QUERY_SESSION_H_
 
 #include <algorithm>
+#include <array>
 #include <map>
 #include <memory>
 #include <set>
@@ -181,13 +190,12 @@ class QuerySession {
       return out;
     }
 
-    // Shared BFS: expand while ANY point vanishes. Over a pipelined
-    // transport the verification fetches for each round's zero candidates
-    // are submitted as soon as the round's evaluations land — the next BFS
-    // round's EvalRequests then go out while those fetches drain, keeping
-    // several protocol rounds in flight on one connection. Sequential
-    // transports skip this: they'd gain nothing and the classic
-    // plan-then-fetch shape keeps their round/message counts bit-stable.
+    // Shared BFS: expand while ANY point vanishes. Over pipelined
+    // transports the overlap policy submits each round's verification
+    // fetches as soon as its evaluations land, and the next round's
+    // EvalRequests go out while they drain. Sequential transports use
+    // plan-then-fetch: overlap would only reorder the same round trips,
+    // and the classic shape keeps their round/message counts bit-stable.
     const bool overlap = AllEndpointsPipelined();
     std::vector<int32_t> frontier = RootIds();
     std::unordered_set<int32_t> seen(frontier.begin(), frontier.end());
@@ -210,33 +218,18 @@ class QuerySession {
           if (seen.insert(c).second) next.push_back(c);
         }
       }
-      if (overlap) {
-        std::vector<int32_t> round_consts, round_polys;
-        for (size_t i = 0; i < queries.size(); ++i) {
-          if (tag_point[i] < 0) continue;
-          RETURN_IF_ERROR(PlanCandidateFetches(round_zeros[tag_point[i]],
-                                               queries[i].mode, &round_consts,
-                                               &round_polys));
-        }
-        StartFetchRound(FetchMode::kConstOnly, round_consts);
-        StartFetchRound(FetchMode::kFull, round_polys);
-      }
+      if (overlap)
+        RETURN_IF_ERROR(SubmitVerifyFetches(queries, tag_point, round_zeros));
       frontier = std::move(next);
     }
-    if (overlap) RETURN_IF_ERROR(AwaitInflightFetches());
 
     // Resolve answers per query, sharing the fetch/reconstruction caches.
     // All queries' verification needs are planned into shared batched fetch
-    // rounds up front (one const-only, one full, per server); with the
-    // pipelined overlap above these are cache hits and cost no round.
-    std::vector<int32_t> consts, polys;
-    for (size_t i = 0; i < queries.size(); ++i) {
-      if (tag_point[i] < 0) continue;
-      RETURN_IF_ERROR(PlanCandidateFetches(zeros_per_point[tag_point[i]],
-                                           queries[i].mode, &consts, &polys));
-    }
-    RETURN_IF_ERROR(PrefetchConsts(consts));
-    RETURN_IF_ERROR(PrefetchPolys(polys));
+    // rounds (one const-only, one full, per server); under overlap every id
+    // is already in flight, so planning adds no round and settling drains
+    // the walk's rounds.
+    RETURN_IF_ERROR(SubmitVerifyFetches(queries, tag_point, zeros_per_point));
+    RETURN_IF_ERROR(SettleFetches());
     for (size_t i = 0; i < queries.size(); ++i) {
       if (tag_point[i] < 0) continue;  // unmapped
       const uint64_t e = points[tag_point[i]];
@@ -342,9 +335,8 @@ class QuerySession {
     combined_consts_.clear();
     client_shares_.clear();
     visited_.clear();
-    inflight_fetches_.clear();
-    early_consts_requested_.clear();
-    early_polys_requested_.clear();
+    pending_fetches_.clear();
+    for (auto& ids : requested_) ids.clear();
     return Status::Ok();
   }
 
@@ -399,99 +391,150 @@ class QuerySession {
   }
 
   // ------------------------------------------------------------- transport
+  //
+  // Every Eval and Fetch goes through one fan-out primitive. Submit picks
+  // the scheme's active servers and calls Begin* on each inside the group
+  // executor's ParallelFor: a pooled group submits concurrently, a
+  // synchronous endpoint answers right there, and a pipelined one puts the
+  // request on the wire and returns. Settle awaits every answer, checks its
+  // shape and, under Shamir, fails over past dead or lying servers.
 
-  /// Dispatches `fn` to every server in `targets` through the group's
-  /// executor — concurrently on a pooled executor, in index order inline —
-  /// and gathers the per-server results in target order. The gathered slots
-  /// make the outcome independent of completion order, so pooled and inline
-  /// execution are bit-identical.
-  template <typename Resp, typename Fn>
-  std::vector<Result<Resp>> Dispatch(const std::vector<size_t>& targets,
-                                     Fn& fn) {
-    std::vector<Result<Resp>> results(
-        targets.size(), Result<Resp>(Status::Internal("subrequest not run")));
-    group_.executor_or_inline()->ParallelFor(
-        targets.size(),
-        [&](size_t j) { results[j] = fn(group_.endpoints[targets[j]]); });
-    return results;
+  template <typename Req>
+  using RespOf = std::conditional_t<std::is_same_v<Req, EvalRequest>,
+                                    EvalResponse, FetchResponse>;
+
+  /// One request fanned out to `servers`, its answers possibly in flight.
+  template <typename Req>
+  struct Flight {
+    Req req;
+    std::vector<size_t> servers;                   ///< endpoint indices asked
+    std::vector<Deferred<RespOf<Req>>> answers;  ///< aligned with servers
+  };
+  /// A fetch round: {FetchMode, ids} plus its in-flight answers.
+  using FetchRound = Flight<FetchRequest>;
+
+  /// A settled fan-out: one well-formed answer per asked server, in server
+  /// order, each with its combination weight.
+  template <typename Resp>
+  struct Answers {
+    std::vector<Resp> resps;
+    std::vector<uint64_t> weights;
+  };
+
+  static Deferred<EvalResponse> Begin(ServerEndpoint* ep,
+                                      const EvalRequest& req) {
+    return ep->BeginEval(req);
+  }
+  static Deferred<FetchResponse> Begin(ServerEndpoint* ep,
+                                       const FetchRequest& req) {
+    return ep->BeginFetch(req);
   }
 
-  /// Calls `fn` on the scheme's active servers — all of them concurrently
-  /// when the group carries a pooled executor, so k-server wall time is one
-  /// round trip, not k — and reports the combination weight of each answer.
-  /// Additive schemes require every server; Shamir asks the first
-  /// `threshold` live servers, marks failing ones dead and retries with
-  /// replacements as long as at least `threshold` remain, recomputing
-  /// Lagrange weights for whichever subset answered. When `sources` is
-  /// non-null it receives the endpoint index each response came from, so
-  /// callers that detect a malformed answer can attribute it to a server.
-  template <typename Resp, typename Fn>
-  Result<std::vector<Resp>> FanOut(Fn&& fn, std::vector<uint64_t>* weights,
-                                   std::vector<size_t>* sources = nullptr) {
-    std::vector<Resp> responses;
-    if (group_.scheme != ShareScheme::kShamir) {
-      std::vector<size_t> all(group_.endpoints.size());
-      for (size_t i = 0; i < all.size(); ++i) all[i] = i;
-      std::vector<Result<Resp>> results = Dispatch<Resp>(all, fn);
-      responses.reserve(results.size());
-      for (Result<Resp>& r : results) {
-        RETURN_IF_ERROR(r.status());
-        responses.push_back(std::move(r).value());
-      }
-      weights->assign(responses.size(), 1);
-      if (sources != nullptr) *sources = std::move(all);
-      return responses;
-    }
-    const size_t t = static_cast<size_t>(group_.threshold);
+  /// Answers are checked before anything indexes into them: one entry per
+  /// requested id, and fetch entries in request order. A malformed answer
+  /// identifies its server as lying.
+  static Status CheckShape(const EvalRequest& req, const EvalResponse& resp) {
+    if (resp.entries.size() != req.node_ids.size())
+      return Status::Corruption("server returned wrong entry count");
+    return Status::Ok();
+  }
+  static Status CheckShape(const FetchRequest& req,
+                           const FetchResponse& resp) {
+    bool bad = resp.entries.size() != req.node_ids.size();
+    for (size_t j = 0; !bad && j < req.node_ids.size(); ++j)
+      bad = resp.entries[j].node_id != req.node_ids[j];
+    if (bad)
+      return Status::Corruption("fetch response misaligned with the request");
+    return Status::Ok();
+  }
+
+  /// Additive schemes ask every server; Shamir asks the first `threshold`
+  /// live ones and refuses once fewer remain.
+  Result<std::vector<size_t>> ChooseServers() const {
+    const size_t want = group_.scheme == ShareScheme::kShamir
+                            ? static_cast<size_t>(group_.threshold)
+                            : group_.endpoints.size();
+    std::vector<size_t> chosen;
+    for (size_t i = 0; i < group_.endpoints.size() && chosen.size() < want;
+         ++i)
+      if (!dead_[i]) chosen.push_back(i);
+    if (chosen.size() < want)
+      return Status::Unavailable(
+          "only " + std::to_string(chosen.size()) + " of the required " +
+          std::to_string(want) + " servers are reachable");
+    return chosen;
+  }
+
+  /// Puts `req` to the chosen servers — concurrently when the group carries
+  /// a pooled executor, so k-server wall time is one round trip, not k.
+  template <typename Req>
+  Result<Flight<Req>> Submit(Req req) {
+    Flight<Req> f;
+    ASSIGN_OR_RETURN(f.servers, ChooseServers());
+    f.req = std::move(req);
+    for (size_t j = 0; j < f.servers.size(); ++j)
+      f.answers.emplace_back(
+          Result<RespOf<Req>>(Status::Internal("subrequest not run")));
+    group_.executor_or_inline()->ParallelFor(f.servers.size(), [&](size_t j) {
+      f.answers[j] = Begin(group_.endpoints[f.servers[j]], f.req);
+    });
+    return f;
+  }
+
+  /// Awaits every answer of `f` (all of them: nothing may stay pending).
+  /// Additive schemes need every server, so a failed or malformed answer is
+  /// the error. Under Shamir its server is marked dead for the rest of the
+  /// session — one failover per death, however many rounds it answered —
+  /// and the request goes out again to a replacement set. Weights are the
+  /// Lagrange coefficients of the servers that answered.
+  template <typename Req>
+  Result<Answers<RespOf<Req>>> Settle(Flight<Req>& f) {
+    const bool shamir = group_.scheme == ShareScheme::kShamir;
     for (;;) {
-      std::vector<size_t> chosen;
-      for (size_t i = 0; i < group_.endpoints.size() && chosen.size() < t; ++i)
-        if (!dead_[i]) chosen.push_back(i);
-      if (chosen.size() < t)
-        return Status::Unavailable(
-            "only " + std::to_string(chosen.size()) + " of the required " +
-            std::to_string(t) + " servers are reachable");
-      std::vector<Result<Resp>> results = Dispatch<Resp>(chosen, fn);
-      responses.clear();
-      std::vector<size_t> answered;
-      std::vector<uint64_t> xs;
-      bool failed = false;
-      for (size_t j = 0; j < chosen.size(); ++j) {
-        if (!results[j].ok()) {
-          dead_[chosen[j]] = 1;  // stays dead for the rest of the session
-          ++stats_.server_failovers;
-          failed = true;
+      Answers<RespOf<Req>> got;
+      Status error = Status::Ok();
+      for (size_t j = 0; j < f.servers.size(); ++j) {
+        Result<RespOf<Req>> r = f.answers[j].Await();
+        Status s = r.ok() ? CheckShape(f.req, *r) : r.status();
+        if (s.ok()) {
+          got.resps.push_back(std::move(r).value());
           continue;
         }
-        responses.push_back(std::move(results[j]).value());
-        answered.push_back(chosen[j]);
-        xs.push_back(group_.shamir_x[chosen[j]]);
+        if (error.ok()) error = std::move(s);
+        if (shamir && !dead_[f.servers[j]]) {
+          dead_[f.servers[j]] = 1;
+          ++stats_.server_failovers;
+        }
       }
-      if (failed) continue;
-      if constexpr (std::is_same_v<Ring, FpCyclotomicRing>) {
-        ASSIGN_OR_RETURN(*weights,
-                         LagrangeWeightsAtZero(client_->ring().field(), xs));
+      if (error.ok()) {
+        got.weights.assign(got.resps.size(), 1);
+        if constexpr (std::is_same_v<Ring, FpCyclotomicRing>) {
+          if (shamir) {
+            std::vector<uint64_t> xs;
+            for (size_t idx : f.servers) xs.push_back(group_.shamir_x[idx]);
+            ASSIGN_OR_RETURN(got.weights, LagrangeWeightsAtZero(
+                                              client_->ring().field(), xs));
+          }
+        }
+        return got;
       }
-      if (sources != nullptr) *sources = std::move(answered);
-      return responses;
+      if (!shamir) return error;
+      ASSIGN_OR_RETURN(f, Submit(f.req));
     }
   }
 
-  /// Weighted server contribution for whole-element combination. Weights
-  /// other than 1 only arise under Shamir, which is F_p-only.
-  Elem ScaledPart(Elem part, uint64_t w) const {
+  /// Weighted server contribution for combination. Weights other than 1
+  /// only arise under Shamir, which is F_p-only.
+  template <typename V>
+  V Scaled(V v, uint64_t w) const {
     if constexpr (std::is_same_v<Ring, FpCyclotomicRing>) {
-      if (w != 1) return part.ScalarMul(w);
+      if (w != 1) {
+        if constexpr (std::is_same_v<V, Elem>) return v.ScalarMul(w);
+        else return client_->ring().field().Mul(v, w);
+      }
     }
     (void)w;
-    return part;
-  }
-  Scalar ScaledScalar(Scalar c, uint64_t w) const {
-    if constexpr (std::is_same_v<Ring, FpCyclotomicRing>) {
-      if (w != 1) return client_->ring().field().Mul(c, w);
-    }
-    (void)w;
-    return c;
+    return v;
   }
 
   // ------------------------------------------------------ combined evals
@@ -525,16 +568,11 @@ class QuerySession {
     EvalRequest req;
     req.points = points;
     req.node_ids = need;
-    std::vector<uint64_t> weights;
-    ASSIGN_OR_RETURN(
-        std::vector<EvalResponse> resps,
-        FanOut<EvalResponse>(
-            [&](ServerEndpoint* ep) { return ep->Eval(req); }, &weights));
+    ASSIGN_OR_RETURN(Flight<EvalRequest> flight, Submit(std::move(req)));
+    ASSIGN_OR_RETURN(Answers<EvalResponse> got, Settle(flight));
     ++stats_.rounds;
-    for (const EvalResponse& resp : resps) {
-      if (resp.entries.size() != need.size())
-        return Status::Corruption("server returned wrong entry count");
-    }
+    const std::vector<EvalResponse>& resps = got.resps;
+    const std::vector<uint64_t>& weights = got.weights;
     stats_.server_evals += need.size() * points.size() * resps.size();
 
     for (size_t j = 0; j < need.size(); ++j) {
@@ -597,9 +635,11 @@ class QuerySession {
     return Status::Ok();
   }
 
-  Result<uint64_t> CombinedEval(int32_t id, uint64_t e) {
-    RETURN_IF_ERROR(EnsureEvals({id}, {e}));
-    return combined_evals_.at({id, e});
+  /// Whether `id`'s cached combined evaluations vanish at every point.
+  bool VanishesAtAll(int32_t id, const std::vector<uint64_t>& points) const {
+    for (uint64_t e : points)
+      if (combined_evals_.at({id, e}) != 0) return false;
+    return true;
   }
 
   /// BFS from `roots` keeping only nodes whose combined evaluation vanishes
@@ -613,14 +653,7 @@ class QuerySession {
       RETURN_IF_ERROR(EnsureEvals(frontier, points));
       std::vector<int32_t> next;
       for (int32_t id : frontier) {
-        bool all_zero = true;
-        for (uint64_t e : points) {
-          if (combined_evals_.at({id, e}) != 0) {
-            all_zero = false;
-            break;
-          }
-        }
-        if (!all_zero) continue;  // dead branch: never expanded (pruning)
+        if (!VanishesAtAll(id, points)) continue;  // dead branch: pruned
         alive.push_back(id);
         for (int32_t c : info_[id].children) {
           if (seen.insert(c).second) next.push_back(c);
@@ -645,303 +678,157 @@ class QuerySession {
   }
 
   // -------------------------------------------------------- reconstruction
-
-  /// Issues ONE FetchRequest for `need` to every active server and checks
-  /// the response shape before anything indexes into it: every server must
-  /// answer with exactly one entry per requested id, in request order. A
-  /// malformed answer identifies its server as lying; under Shamir that
-  /// server is marked dead (a failover, like one that stopped answering)
-  /// and the round retries with a replacement, while the all-servers
-  /// schemes must refuse with Corruption.
-  Result<std::pair<std::vector<FetchResponse>, std::vector<uint64_t>>>
-  FetchRound(FetchMode mode, const std::vector<int32_t>& need) {
-    FetchRequest req;
-    req.mode = mode;
-    req.node_ids = need;
-    for (;;) {
-      std::vector<uint64_t> weights;
-      std::vector<size_t> sources;
-      ASSIGN_OR_RETURN(
-          std::vector<FetchResponse> resps,
-          FanOut<FetchResponse>(
-              [&](ServerEndpoint* ep) { return ep->Fetch(req); }, &weights,
-              &sources));
-      ++stats_.fetch_rounds;
-      bool retry = false;
-      for (size_t s = 0; s < resps.size(); ++s) {
-        bool bad = resps[s].entries.size() != need.size();
-        for (size_t j = 0; !bad && j < need.size(); ++j)
-          bad = resps[s].entries[j].node_id != need[j];
-        if (!bad) continue;
-        if (group_.scheme != ShareScheme::kShamir)
-          return Status::Corruption(
-              "fetch response misaligned with the request");
-        dead_[sources[s]] = 1;  // an identified liar: replaceable
-        ++stats_.server_failovers;
-        retry = true;
-      }
-      if (!retry) return std::make_pair(std::move(resps), std::move(weights));
-    }
-  }
-
-  /// Folds one answered full-polynomial round into the combined-poly cache
-  /// (shared by the synchronous prefetch and the pipelined overlap path).
-  Status CombinePolyRound(const std::vector<int32_t>& need,
-                          std::vector<FetchResponse>& resps,
-                          const std::vector<uint64_t>& weights) {
-    stats_.polys_fetched_full += need.size();
-    const Ring& ring = client_->ring();
-    for (size_t j = 0; j < need.size(); ++j) {
-      Elem combined = ring.Zero();
-      for (size_t s = 0; s < resps.size(); ++s) {
-        ByteReader r(resps[s].entries[j].payload);
-        ASSIGN_OR_RETURN(Elem part, ring.Deserialize(&r));
-        combined = ring.Add(combined, ScaledPart(std::move(part), weights[s]));
-      }
-      if (include_client()) {
-        ASSIGN_OR_RETURN(const Elem* share, ClientShare(need[j]));
-        combined = ring.Add(combined, *share);
-      }
-      combined_polys_.emplace(need[j], std::move(combined));
-    }
-    return Status::Ok();
-  }
-
-  /// Const-coefficient counterpart of CombinePolyRound.
-  Status CombineConstRound(const std::vector<int32_t>& need,
-                           std::vector<FetchResponse>& resps,
-                           const std::vector<uint64_t>& weights) {
-    stats_.consts_fetched += need.size();
-    const Ring& ring = client_->ring();
-    for (size_t j = 0; j < need.size(); ++j) {
-      Scalar combined = ring.ConstTerm(ring.Zero());
-      for (size_t s = 0; s < resps.size(); ++s) {
-        ByteReader r(resps[s].entries[j].payload);
-        ASSIGN_OR_RETURN(Scalar c0, ring.DeserializeScalar(&r));
-        combined =
-            ring.AddScalars(combined, ScaledScalar(std::move(c0), weights[s]));
-      }
-      if (include_client()) {
-        ASSIGN_OR_RETURN(const Elem* share, ClientShare(need[j]));
-        combined = ring.AddScalars(combined, ring.ConstTerm(*share));
-      }
-      combined_consts_.emplace(need[j], std::move(combined));
-    }
-    return Status::Ok();
-  }
-
-  /// Fetches and combines the full share polynomials of every id in `ids`
-  /// not already cached, in ONE FetchRequest per server.
-  Status PrefetchPolys(const std::vector<int32_t>& ids) {
-    std::vector<int32_t> need;
-    for (int32_t id : ids) {
-      if (combined_polys_.count(id)) continue;
-      if (std::find(need.begin(), need.end(), id) == need.end())
-        need.push_back(id);
-    }
-    if (need.empty()) return Status::Ok();
-    ASSIGN_OR_RETURN(auto round, FetchRound(FetchMode::kFull, need));
-    return CombinePolyRound(need, round.first, round.second);
-  }
-
-  /// Const-coefficient counterpart of PrefetchPolys (trusted mode).
-  Status PrefetchConsts(const std::vector<int32_t>& ids) {
-    std::vector<int32_t> need;
-    for (int32_t id : ids) {
-      if (combined_consts_.count(id)) continue;
-      if (std::find(need.begin(), need.end(), id) == need.end())
-        need.push_back(id);
-    }
-    if (need.empty()) return Status::Ok();
-    ASSIGN_OR_RETURN(auto round, FetchRound(FetchMode::kConstOnly, need));
-    return CombineConstRound(need, round.first, round.second);
-  }
-
-  // ------------------------------------------------- pipelined fetch overlap
+  //
+  // Fetch scheduling. A fetch round is submitted through the fan-out
+  // primitive and waits in pending_fetches_ until SettleFetches combines
+  // its answers; the only policy is when that happens. Plan-then-fetch
+  // (Fetch) settles a round as soon as it is submitted. Overlap, chosen
+  // by LookupBatch when every endpoint pipelines, submits one round per
+  // BFS round and settles them all after the walk, so the next round's
+  // evaluations go out while earlier fetches drain.
 
   /// True when every endpoint genuinely pipelines (BeginFetch submits
   /// immediately). Only then does issuing fetches early buy wall time; on
   /// sequential transports it would merely reorder the same round trips.
   bool AllEndpointsPipelined() const {
-    if (group_.endpoints.empty()) return false;
     for (const ServerEndpoint* ep : group_.endpoints)
       if (!ep->SupportsPipelining()) return false;
-    return true;
+    return !group_.endpoints.empty();
   }
 
-  /// One fetch round submitted on the wire but not yet awaited.
-  struct InflightFetchRound {
-    FetchMode mode = FetchMode::kFull;
-    std::vector<int32_t> need;
-    std::vector<size_t> chosen;  ///< endpoint indices asked
-    std::vector<Deferred<FetchResponse>> deferred;  ///< aligned with chosen
-  };
-
-  /// Submits one batched FetchRequest per active server for every id of
-  /// `ids` that is neither cached nor already requested by an earlier
-  /// in-flight round, and parks the deferred responses. Failures (if any)
-  /// surface in AwaitInflightFetches. No-op when nothing new is needed or
-  /// (under Shamir) too few servers are live — the synchronous catch-all
-  /// pass after the walk handles both.
-  void StartFetchRound(FetchMode mode, const std::vector<int32_t>& ids) {
-    const bool const_mode = mode == FetchMode::kConstOnly;
-    auto& requested = const_mode ? early_consts_requested_ : early_polys_requested_;
-    std::vector<int32_t> need;
-    for (int32_t id : ids) {
-      const bool cached = const_mode ? combined_consts_.count(id) > 0
-                                     : combined_polys_.count(id) > 0;
-      if (cached || !requested.insert(id).second) continue;
-      need.push_back(id);
-    }
-    if (need.empty()) return;
-
-    std::vector<size_t> chosen;
-    if (group_.scheme == ShareScheme::kShamir) {
-      const size_t t = static_cast<size_t>(group_.threshold);
-      for (size_t i = 0; i < group_.endpoints.size() && chosen.size() < t; ++i)
-        if (!dead_[i]) chosen.push_back(i);
-      if (chosen.size() < t) {
-        for (int32_t id : need) requested.erase(id);
-        return;  // let the synchronous path report Unavailable
-      }
-    } else {
-      for (size_t i = 0; i < group_.endpoints.size(); ++i) chosen.push_back(i);
-    }
-
-    InflightFetchRound round;
-    round.mode = mode;
-    round.need = std::move(need);
-    round.chosen = std::move(chosen);
+  /// Submits one FetchRequest for every id of `ids` whose `mode` share is
+  /// neither combined nor already in flight (no-op when nothing is new).
+  Status SubmitFetch(FetchMode mode, const std::vector<int32_t>& ids) {
     FetchRequest req;
     req.mode = mode;
-    req.node_ids = round.need;
-    round.deferred.reserve(round.chosen.size());
-    for (size_t idx : round.chosen)
-      round.deferred.push_back(group_.endpoints[idx]->BeginFetch(req));
-    inflight_fetches_.push_back(std::move(round));
+    for (int32_t id : ids)
+      if (Requested(mode).insert(id).second) req.node_ids.push_back(id);
+    if (req.node_ids.empty()) return Status::Ok();
+    ASSIGN_OR_RETURN(FetchRound round, Submit(std::move(req)));
+    pending_fetches_.push_back(std::move(round));
+    return Status::Ok();
   }
 
-  /// Awaits every in-flight fetch round (always all of them — nothing may
-  /// stay pending) and folds the answers into the combined caches. A round
-  /// that failed or misbehaved falls back to the synchronous prefetch path:
-  /// under Shamir the offender is first marked dead (failover), so the
-  /// retry picks a replacement; the all-servers schemes surface the error
-  /// exactly as the synchronous path would.
-  Status AwaitInflightFetches() {
-    std::vector<InflightFetchRound> rounds;
-    rounds.swap(inflight_fetches_);
+  /// Settles every pending round (all of them, even after one fails) and
+  /// combines the answers into the mode's cache.
+  Status SettleFetches() {
+    std::vector<FetchRound> rounds;
+    rounds.swap(pending_fetches_);
     Status overall = Status::Ok();
-    for (InflightFetchRound& round : rounds) {
-      Status s = SettleFetchRound(round);
-      if (!s.ok() && overall.ok()) overall = s;
+    for (FetchRound& round : rounds) {
+      Status s = SettleFetch(round);
+      if (overall.ok()) overall = std::move(s);
     }
     return overall;
   }
 
-  Status SettleFetchRound(InflightFetchRound& round) {
-    std::vector<Result<FetchResponse>> results;
-    results.reserve(round.deferred.size());
-    for (Deferred<FetchResponse>& d : round.deferred)
-      results.push_back(d.Await());
-
-    bool trouble = false;
-    Status first_error = Status::Ok();
-    for (size_t s = 0; s < results.size(); ++s) {
-      bool bad = !results[s].ok();
-      if (bad && first_error.ok()) first_error = results[s].status();
-      if (!bad) {
-        const FetchResponse& resp = results[s].value();
-        bad = resp.entries.size() != round.need.size();
-        for (size_t j = 0; !bad && j < round.need.size(); ++j)
-          bad = resp.entries[j].node_id != round.need[j];
-        if (bad && first_error.ok())
-          first_error =
-              Status::Corruption("fetch response misaligned with the request");
-      }
-      if (!bad) continue;
-      trouble = true;
-      if (group_.scheme == ShareScheme::kShamir) {
-        dead_[round.chosen[s]] = 1;
-        ++stats_.server_failovers;
-      }
-    }
-    if (trouble) {
-      if (group_.scheme != ShareScheme::kShamir) return first_error;
-      // Retry with replacements through the synchronous path (the ids are
-      // not cached yet, so this issues a fresh round).
-      return round.mode == FetchMode::kConstOnly ? PrefetchConsts(round.need)
-                                                 : PrefetchPolys(round.need);
-    }
-
+  Status SettleFetch(FetchRound& round) {
+    ASSIGN_OR_RETURN(Answers<FetchResponse> got, Settle(round));
     ++stats_.fetch_rounds;
-    std::vector<FetchResponse> resps;
-    resps.reserve(results.size());
-    for (Result<FetchResponse>& r : results)
-      resps.push_back(std::move(r).value());
-    std::vector<uint64_t> weights(resps.size(), 1);
-    if constexpr (std::is_same_v<Ring, FpCyclotomicRing>) {
-      if (group_.scheme == ShareScheme::kShamir) {
-        std::vector<uint64_t> xs;
-        xs.reserve(round.chosen.size());
-        for (size_t idx : round.chosen) xs.push_back(group_.shamir_x[idx]);
-        ASSIGN_OR_RETURN(weights,
-                         LagrangeWeightsAtZero(client_->ring().field(), xs));
+    return round.req.mode == FetchMode::kFull
+               ? Combine<FetchMode::kFull>(round.req.node_ids, got)
+               : Combine<FetchMode::kConstOnly>(round.req.node_ids, got);
+  }
+
+  /// Plan-then-fetch: the shares of `ids` are combined when this returns.
+  Status Fetch(FetchMode mode, const std::vector<int32_t>& ids) {
+    RETURN_IF_ERROR(SubmitFetch(mode, ids));
+    return SettleFetches();
+  }
+
+  /// What a fetch mode combines into: whole share polynomials, or their
+  /// constant coefficients.
+  template <FetchMode M>
+  using Fetched = std::conditional_t<M == FetchMode::kFull, Elem, Scalar>;
+
+  template <FetchMode M>
+  std::unordered_map<int32_t, Fetched<M>>& Combined() {
+    if constexpr (M == FetchMode::kFull) return combined_polys_;
+    else return combined_consts_;
+  }
+  std::unordered_set<int32_t>& Requested(FetchMode mode) {
+    return requested_[mode == FetchMode::kFull ? 0 : 1];
+  }
+
+  /// An element's `M` view, a decoded `M` payload, and `M` addition.
+  template <FetchMode M>
+  Fetched<M> Lift(const Elem& e) const {
+    if constexpr (M == FetchMode::kFull) return e;
+    else return client_->ring().ConstTerm(e);
+  }
+  template <FetchMode M>
+  Result<Fetched<M>> Decode(ByteReader* r) const {
+    if constexpr (M == FetchMode::kFull) return client_->ring().Deserialize(r);
+    else return client_->ring().DeserializeScalar(r);
+  }
+  template <FetchMode M>
+  Fetched<M> Plus(const Fetched<M>& a, const Fetched<M>& b) const {
+    if constexpr (M == FetchMode::kFull) return client_->ring().Add(a, b);
+    else return client_->ring().AddScalars(a, b);
+  }
+
+  /// Folds one settled fetch round into the `M` cache: each id's weighted
+  /// server shares, plus the client's own share where the scheme has one.
+  template <FetchMode M>
+  Status Combine(const std::vector<int32_t>& ids,
+                 const Answers<FetchResponse>& got) {
+    (M == FetchMode::kFull ? stats_.polys_fetched_full
+                           : stats_.consts_fetched) += ids.size();
+    for (size_t j = 0; j < ids.size(); ++j) {
+      Fetched<M> sum = Lift<M>(client_->ring().Zero());
+      for (size_t s = 0; s < got.resps.size(); ++s) {
+        ByteReader r(got.resps[s].entries[j].payload);
+        ASSIGN_OR_RETURN(Fetched<M> part, Decode<M>(&r));
+        sum = Plus<M>(sum, Scaled(std::move(part), got.weights[s]));
       }
-    }
-    return round.mode == FetchMode::kConstOnly
-               ? CombineConstRound(round.need, resps, weights)
-               : CombinePolyRound(round.need, resps, weights);
-  }
-
-  Result<const Elem*> FetchCombinedPoly(int32_t id) {
-    auto it = combined_polys_.find(id);
-    if (it == combined_polys_.end()) {
-      RETURN_IF_ERROR(PrefetchPolys({id}));
-      it = combined_polys_.find(id);
-    }
-    return &it->second;
-  }
-
-  Result<const Scalar*> FetchCombinedConst(int32_t id) {
-    auto it = combined_consts_.find(id);
-    if (it == combined_consts_.end()) {
-      RETURN_IF_ERROR(PrefetchConsts({id}));
-      it = combined_consts_.find(id);
-    }
-    return &it->second;
-  }
-
-  /// Collects every node id the verification of `zeros` will need — each
-  /// candidate plus its direct children, routed to the const-only set for
-  /// wrap-free nodes under the trusted mode and to the full-polynomial set
-  /// otherwise. Appends to the caller's sets so several queries of a batch
-  /// plan into the same fetch rounds.
-  Status PlanCandidateFetches(const std::vector<int32_t>& zeros,
-                              VerifyMode mode, std::vector<int32_t>* consts,
-                              std::vector<int32_t>* polys) {
-    if (mode == VerifyMode::kOptimistic) return Status::Ok();
-    for (int32_t z : zeros) {
-      RETURN_IF_ERROR(EnsureStructure(z));
-      const bool const_only =
-          mode == VerifyMode::kTrustedConstOnly &&
-          static_cast<size_t>(info_[z].subtree_size) <=
-              MaxResidueDegree(client_->ring());
-      std::vector<int32_t>* dst = const_only ? consts : polys;
-      dst->push_back(z);
-      for (int32_t c : info_[z].children) dst->push_back(c);
+      if (include_client()) {
+        ASSIGN_OR_RETURN(const Elem* share, ClientShare(ids[j]));
+        sum = Plus<M>(sum, Lift<M>(*share));
+      }
+      Combined<M>().emplace(ids[j], std::move(sum));
     }
     return Status::Ok();
+  }
+
+  /// Submits the verification fetches of every query's zero candidates
+  /// (`zeros` is indexed by point, `tag_point` maps queries to points):
+  /// each candidate plus its direct children, in one const-only round for
+  /// wrap-free nodes under the trusted mode and one full round otherwise,
+  /// so all queries of a batch share the same rounds.
+  Status SubmitVerifyFetches(std::span<const TagQuery> queries,
+                             const std::vector<int>& tag_point,
+                             const std::vector<std::vector<int32_t>>& zeros) {
+    std::vector<int32_t> consts, polys;
+    for (size_t i = 0; i < queries.size(); ++i) {
+      const VerifyMode mode = queries[i].mode;
+      if (tag_point[i] < 0 || mode == VerifyMode::kOptimistic) continue;
+      for (int32_t z : zeros[tag_point[i]]) {
+        RETURN_IF_ERROR(EnsureStructure(z));
+        const bool const_only =
+            mode == VerifyMode::kTrustedConstOnly &&
+            static_cast<size_t>(info_[z].subtree_size) <=
+                MaxResidueDegree(client_->ring());
+        std::vector<int32_t>* dst = const_only ? &consts : &polys;
+        dst->push_back(z);
+        for (int32_t c : info_[z].children) dst->push_back(c);
+      }
+    }
+    RETURN_IF_ERROR(SubmitFetch(FetchMode::kConstOnly, consts));
+    return SubmitFetch(FetchMode::kFull, polys);
   }
 
   /// Theorem 1/2 tag recovery for node `id` ("reconstruct the non-shared
   /// polynomials of both the element and all its direct children"). The
   /// node's and its children's shares arrive in ONE batched FetchRequest
   /// per server per round — cache-deduped, so a caller that already
-  /// prefetched (PlanCandidateFetches) pays no further round.
+  /// prefetched (SubmitVerifyFetches) pays no further round.
   Result<uint64_t> ReconstructTag(int32_t id, VerifyMode mode) {
     RETURN_IF_ERROR(EnsureStructure(id));
     ++stats_.reconstructions;
     const Ring& ring = client_->ring();
+    std::vector<int32_t> need = {id};
+    need.insert(need.end(), info_[id].children.begin(),
+                info_[id].children.end());
 
     if (mode == VerifyMode::kTrustedConstOnly) {
       // Wrap-free nodes satisfy f_0 = -t * g_0 with g_0 the plain product of
@@ -949,18 +836,11 @@ class QuerySession {
       const bool wrap_free =
           static_cast<size_t>(info_[id].subtree_size) <= MaxResidueDegree(ring);
       if (wrap_free) {
-        std::vector<int32_t> need = {id};
-        need.insert(need.end(), info_[id].children.begin(),
-                    info_[id].children.end());
-        RETURN_IF_ERROR(PrefetchConsts(need));
-        ASSIGN_OR_RETURN(const Scalar* f0, FetchCombinedConst(id));
-        Scalar f0_copy = *f0;  // later fetches may rehash the cache
+        RETURN_IF_ERROR(Fetch(FetchMode::kConstOnly, need));
         Scalar g0 = ring.OneScalar();
-        for (int32_t c : info_[id].children) {
-          ASSIGN_OR_RETURN(const Scalar* c0, FetchCombinedConst(c));
-          g0 = ring.MulScalars(g0, *c0);
-        }
-        auto t = ring.SolveTagTrusted(f0_copy, g0);
+        for (int32_t c : info_[id].children)
+          g0 = ring.MulScalars(g0, combined_consts_.at(c));
+        auto t = ring.SolveTagTrusted(combined_consts_.at(id), g0);
         if (t.ok()) return *t;
         // g_0 not invertible or inconsistent: fall back to a full fetch.
       }
@@ -968,18 +848,11 @@ class QuerySession {
       // fall through to the full reconstruction below
     }
 
-    std::vector<int32_t> need = {id};
-    need.insert(need.end(), info_[id].children.begin(),
-                info_[id].children.end());
-    RETURN_IF_ERROR(PrefetchPolys(need));
-    ASSIGN_OR_RETURN(const Elem* f_ptr, FetchCombinedPoly(id));
-    Elem f = *f_ptr;  // copy: subsequent fetches may invalidate the pointer
+    RETURN_IF_ERROR(Fetch(FetchMode::kFull, need));
     Elem g = ring.One();
-    for (int32_t c : info_[id].children) {
-      ASSIGN_OR_RETURN(const Elem* q, FetchCombinedPoly(c));
-      g = ring.Mul(g, *q);
-    }
-    return ring.SolveTag(f, g);
+    for (int32_t c : info_[id].children)
+      g = ring.Mul(g, combined_polys_.at(c));
+    return ring.SolveTag(combined_polys_.at(id), g);
   }
 
   /// Structure (children / subtree size) without caring about values: reuse
@@ -1001,8 +874,8 @@ class QuerySession {
   /// Tag-equality test used by XPath stepping: does node `id` carry exactly
   /// tag point `e`?
   Result<bool> NodeTagEquals(int32_t id, uint64_t e, VerifyMode mode) {
-    ASSIGN_OR_RETURN(uint64_t v, CombinedEval(id, e));
-    if (v != 0) return false;  // (x - e) not among the factors
+    RETURN_IF_ERROR(EnsureEvals({id}, {e}));
+    if (combined_evals_.at({id, e}) != 0) return false;  // (x - e) absent
     // Cheap certificate: zero with no zero child means the node itself
     // matches (in F_p exactly; Z-ring FPs are caught by reconstruction
     // below only in verified/trusted modes — XPath always runs those).
@@ -1015,6 +888,14 @@ class QuerySession {
 
   // ----------------------------------------------------------- strategies
 
+  /// Where an XPath step starts: the document roots below the virtual
+  /// root, else the context node's children.
+  Result<std::vector<int32_t>> StepRoots(int32_t ctx) {
+    if (ctx == kVirtualRoot) return RootIds();
+    RETURN_IF_ERROR(EnsureStructure(ctx));
+    return info_[ctx].children;
+  }
+
   Status RunLeftToRight(const XPathQuery& query,
                         const std::vector<uint64_t>& points, VerifyMode mode,
                         std::set<int32_t>* out) {
@@ -1024,13 +905,7 @@ class QuerySession {
       const uint64_t e = points[i];
       std::set<int32_t> next;
       for (int32_t ctx : contexts) {
-        std::vector<int32_t> roots;
-        if (ctx == kVirtualRoot) {
-          roots = RootIds();
-        } else {
-          RETURN_IF_ERROR(EnsureStructure(ctx));
-          roots.assign(info_[ctx].children.begin(), info_[ctx].children.end());
-        }
+        ASSIGN_OR_RETURN(std::vector<int32_t> roots, StepRoots(ctx));
         if (step.axis == XPathStep::Axis::kChild) {
           for (int32_t cand : roots) {
             ASSIGN_OR_RETURN(bool match, NodeTagEquals(cand, e, mode));
@@ -1075,25 +950,12 @@ class QuerySession {
         suffix_points.push_back(points[k]);
     }
 
-    std::vector<int32_t> roots;
-    if (ctx == kVirtualRoot) {
-      roots = RootIds();
-    } else {
-      RETURN_IF_ERROR(EnsureStructure(ctx));
-      roots.assign(info_[ctx].children.begin(), info_[ctx].children.end());
-    }
+    ASSIGN_OR_RETURN(std::vector<int32_t> roots, StepRoots(ctx));
 
     if (step.axis == XPathStep::Axis::kChild) {
       for (int32_t cand : roots) {
         RETURN_IF_ERROR(EnsureEvals({cand}, suffix_points));
-        bool all_zero = true;
-        for (uint64_t pt : suffix_points) {
-          if (combined_evals_.at({cand, pt}) != 0) {
-            all_zero = false;
-            break;
-          }
-        }
-        if (!all_zero) continue;
+        if (!VanishesAtAll(cand, suffix_points)) continue;
         ASSIGN_OR_RETURN(bool match, NodeTagEquals(cand, e, mode));
         if (match)
           RETURN_IF_ERROR(
@@ -1128,11 +990,11 @@ class QuerySession {
   std::unordered_map<int32_t, Elem> client_shares_;
   std::unordered_set<int32_t> visited_;
 
-  // Pipelined fetch overlap (cleared per query): rounds on the wire, plus
-  // the ids they cover so later rounds don't re-request them.
-  std::vector<InflightFetchRound> inflight_fetches_;
-  std::unordered_set<int32_t> early_consts_requested_;
-  std::unordered_set<int32_t> early_polys_requested_;
+  // Fetch scheduling (cleared per query): rounds submitted but not yet
+  // settled, and per mode (full, const-only) every id ever submitted, so
+  // no share is fetched twice.
+  std::vector<FetchRound> pending_fetches_;
+  std::array<std::unordered_set<int32_t>, 2> requested_;
 };
 
 }  // namespace polysse

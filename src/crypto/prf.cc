@@ -1,28 +1,32 @@
 #include "crypto/prf.h"
 
-#include <chrono>
+#include <sys/random.h>
+
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
+
+#include "util/check.h"
 
 namespace polysse {
 
 std::array<uint8_t, DeterministicPrf::kSeedSize> RandomSeed() {
+  // Key material comes from the kernel CSPRNG only. A seed that cannot be
+  // drawn aborts: a guessable fallback (clock, addresses) would silently
+  // mint weak keys.
   std::array<uint8_t, DeterministicPrf::kSeedSize> seed{};
-  std::FILE* urandom = std::fopen("/dev/urandom", "rb");
-  if (urandom != nullptr) {
-    size_t got = std::fread(seed.data(), 1, seed.size(), urandom);
-    std::fclose(urandom);
-    if (got == seed.size()) return seed;
+  size_t got = 0;
+  while (got < seed.size()) {
+    const ssize_t n = getrandom(seed.data() + got, seed.size() - got, 0);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) {
+      std::fprintf(stderr, "RandomSeed: getrandom failed: %s\n",
+                   n < 0 ? std::strerror(errno) : "no bytes returned");
+      POLYSSE_CHECK(n > 0);
+    }
+    got += static_cast<size_t>(n);
   }
-  // Fallback entropy (containers without /dev/urandom): clock + address bits,
-  // whitened through SHA-256. Not suitable for real deployments; examples only.
-  auto now = std::chrono::high_resolution_clock::now().time_since_epoch().count();
-  auto addr = reinterpret_cast<uintptr_t>(&seed);
-  Sha256 h;
-  h.Update(std::span<const uint8_t>(reinterpret_cast<const uint8_t*>(&now),
-                                    sizeof(now)));
-  h.Update(std::span<const uint8_t>(reinterpret_cast<const uint8_t*>(&addr),
-                                    sizeof(addr)));
-  return h.Finish();
+  return seed;
 }
 
 }  // namespace polysse

@@ -529,23 +529,30 @@ class ShardedCollection {
 
   /// Moves `ids`, in order, from `src` to freshly allocated bases in
   /// `dst`: per document and server export + re-add, then retire at the
-  /// source. A failed move rolls back its destination copies and stops;
-  /// documents already moved stay moved, and the doc table stays sorted.
+  /// source. A failed move rolls back its destination copies, hands its
+  /// allocation back and stops; documents already moved stay moved, and
+  /// the doc table stays sorted.
   Status MoveDocs(const std::vector<DocId>& ids, ShardGroup* src,
                   ShardGroup* dst) {
     for (DocId id : ids) {
       ASSIGN_OR_RETURN(int32_t new_base,
                        map_.Allocate(dst->id, core_.docs().Find(id)->size));
-      std::vector<ExportDocResponse> exports;
-      for (ServerEndpoint* ep : src->group.endpoints) {
-        ExportDocRequest req;
-        req.doc_id = id;
-        ASSIGN_OR_RETURN(ExportDocResponse resp, ep->ExportDoc(req));
-        exports.push_back(std::move(resp));
+      Status copied = [&]() -> Status {
+        std::vector<ExportDocResponse> exports;
+        for (ServerEndpoint* ep : src->group.endpoints) {
+          ExportDocRequest req;
+          req.doc_id = id;
+          ASSIGN_OR_RETURN(ExportDocResponse resp, ep->ExportDoc(req));
+          exports.push_back(std::move(resp));
+        }
+        return Core::AddToGroup(id, new_base, dst->group, [&](size_t s) {
+          return std::move(exports[s].store_bytes);
+        });
+      }();
+      if (!copied.ok()) {  // hand the allocation back, as Add does
+        (void)map_.SetNext(dst->id, new_base - map_.Find(dst->id)->base);
+        return copied;
       }
-      RETURN_IF_ERROR(Core::AddToGroup(id, new_base, dst->group, [&](size_t s) {
-        return std::move(exports[s].store_bytes);
-      }));
       (void)Core::RemoveFromGroup(id, src->group);
       core_.docs().Rebase(id, dst->id, new_base);
     }
@@ -564,20 +571,23 @@ class ShardedCollection {
     const int64_t span = map_.Find(source)->span;
     ASSIGN_OR_RETURN(int32_t base, map_.FreeRangeBase(span));
     RETURN_IF_ERROR(map_.AddShard(new_shard, base, span));
-    Status attached =
+    Status status =
         new_endpoints == nullptr
             ? MakeOwnedGroup(new_shard)
             : AttachExternalGroup(new_shard, std::move(*new_endpoints));
-    if (!attached.ok()) {
-      (void)map_.RemoveShard(new_shard);
-      return attached;
-    }
 
     // The upper half of the source's documents (by node-id order) moves.
     const std::vector<DocId> in_source = DocsOf(source);
-    return MoveDocs(
-        {in_source.begin() + (in_source.size() + 1) / 2, in_source.end()},
-        src, FindGroup(new_shard));
+    if (status.ok())
+      status = MoveDocs(
+          {in_source.begin() + (in_source.size() + 1) / 2, in_source.end()},
+          src, FindGroup(new_shard));
+    if (!status.ok() && DocsOf(new_shard).empty()) {
+      // Nothing moved: unregister the new shard so the call can be retried.
+      groups_.erase(new_shard);
+      (void)map_.RemoveShard(new_shard);
+    }
+    return status;
   }
 
   static void MergeStats(QueryStats* into, const QueryStats& s) {

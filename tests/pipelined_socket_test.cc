@@ -1,9 +1,11 @@
 // E2e battery for the tagged-frame pipelined runtime: tag round-trip
 // parity with the sequential protocol, out-of-order completion, kind
 // interleaving on one connection, legacy-client compatibility against the
-// epoll server, flood guards on both sides of the wire, and the
-// Stop()-during-in-flight-writes drain contract. The whole file is also a
-// TSan target (CI runs it under the debug-tsan preset): submitters, the
+// epoll server, flood guards on both sides of the wire, the
+// Stop()-during-in-flight-writes drain contract, and fault injection over
+// the overlap path (fault-free cost parity, Shamir failover past a lying
+// fetcher, additive refusal). The whole file is also a TSan target (CI
+// runs it under the debug-tsan preset): submitters, the
 // endpoint reader thread, the server event loop and its worker pool all
 // race here on purpose.
 #include <gtest/gtest.h>
@@ -21,6 +23,7 @@
 #include <thread>
 #include <vector>
 
+#include "baseline/plaintext_search.h"
 #include "core/engine.h"
 #include "net/socket_endpoint.h"
 #include "testing/deploy_helpers.h"
@@ -434,6 +437,134 @@ TEST(PipelinedSocketTest, StopDuringInflightPipelinedWritesDrainsCleanly) {
   EXPECT_FALSE(bad_status.load())
       << "a request resolved with something other than success/Unavailable "
          "(Corruption here would mean a lost or double-sent response)";
+}
+
+// ------------------------------------------- fault injection x overlap --
+
+/// Serves each of `engine`'s server stores on its own TCP port and dials a
+/// pipelined endpoint to each.
+struct TcpGroup {
+  std::vector<std::unique_ptr<SocketServer>> servers;
+  std::vector<std::unique_ptr<SocketEndpoint>> endpoints;
+
+  Status Serve(FpEngine& engine, size_t n) {
+    for (size_t s = 0; s < n; ++s) {
+      ASSIGN_OR_RETURN(auto srv, SocketServer::Listen(engine.handler(s), 0));
+      ASSIGN_OR_RETURN(auto ep, SocketEndpoint::Connect("127.0.0.1",
+                                                        srv->port()));
+      servers.push_back(std::move(srv));
+      endpoints.push_back(std::move(ep));
+    }
+    return Status::Ok();
+  }
+};
+
+/// A lying server's fetch answers drop their last entry.
+FaultConfig DropFetchEntry() {
+  FaultConfig fc;
+  fc.tamper_fetch = [](FetchResponse& resp) {
+    if (!resp.entries.empty()) resp.entries.pop_back();
+  };
+  return fc;
+}
+
+TEST(PipelinedSocketTest, FaultFreeWrapperKeepsOverlapCosts) {
+  // A fault-free FaultInjectingEndpoint must not change how the session
+  // schedules over a pipelined transport: same answers, same rounds, fetch
+  // rounds, messages and bytes as the bare endpoint.
+  XmlNode doc = MakeDoc(405);
+  DeterministicPrf seed = DeterministicPrf::FromString("pipe-fault-free");
+  FpDeployment dep = MakeFpDeployment(doc, seed).value();
+  auto server = SocketServer::Listen(&dep.server, 0);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  auto bare = SocketEndpoint::Connect("127.0.0.1", (*server)->port());
+  ASSERT_TRUE(bare.ok()) << bare.status().ToString();
+  auto inner = SocketEndpoint::Connect("127.0.0.1", (*server)->port());
+  ASSERT_TRUE(inner.ok()) << inner.status().ToString();
+  FaultInjectingEndpoint wrapped(inner->get(), FaultConfig{});
+  ASSERT_TRUE(wrapped.SupportsPipelining());
+
+  QuerySession<FpCyclotomicRing> bare_session(
+      &dep.client, EndpointGroup::TwoParty(bare->get()));
+  QuerySession<FpCyclotomicRing> wrapped_session(
+      &dep.client, EndpointGroup::TwoParty(&wrapped));
+  const std::vector<std::string> tags = doc.DistinctTags();
+  for (VerifyMode mode : {VerifyMode::kOptimistic, VerifyMode::kVerified,
+                          VerifyMode::kTrustedConstOnly}) {
+    auto b = bare_session.LookupMany(tags, mode);
+    ASSERT_TRUE(b.ok()) << b.status().ToString();
+    auto w = wrapped_session.LookupMany(tags, mode);
+    ASSERT_TRUE(w.ok()) << w.status().ToString();
+    for (size_t i = 0; i < tags.size(); ++i) {
+      EXPECT_EQ(w->per_tag[i].matches, b->per_tag[i].matches) << tags[i];
+      EXPECT_EQ(w->per_tag[i].possible, b->per_tag[i].possible) << tags[i];
+    }
+    EXPECT_EQ(w->stats.rounds, b->stats.rounds);
+    EXPECT_EQ(w->stats.fetch_rounds, b->stats.fetch_rounds);
+    EXPECT_EQ(w->stats.transport.messages_up, b->stats.transport.messages_up);
+    EXPECT_EQ(w->stats.transport.messages_down,
+              b->stats.transport.messages_down);
+    EXPECT_EQ(w->stats.transport.bytes_up, b->stats.transport.bytes_up);
+    EXPECT_EQ(w->stats.transport.bytes_down, b->stats.transport.bytes_down);
+  }
+}
+
+TEST(PipelinedSocketTest, ShamirOverlapFailsOverLyingFetcherOnce) {
+  // Shamir 2-of-4 over TCP with a pooled fan-out; server 0 answers every
+  // fetch with an entry missing. The overlap path keeps several fetch
+  // rounds in flight to it, yet its death counts once, and every answer
+  // still equals the plaintext oracle.
+  XmlNode doc = MakeDoc(406, 50);
+  DeterministicPrf seed = DeterministicPrf::FromString("pipe-shamir-liar");
+  FpEngine::Deploy deploy;
+  deploy.scheme = ShareScheme::kShamir;
+  deploy.num_servers = 4;
+  deploy.threshold = 2;
+  auto engine = FpEngine::Outsource(doc, seed, deploy).value();
+  TcpGroup tcp;
+  ASSERT_TRUE(tcp.Serve(*engine, 4).ok());
+  FaultInjectingEndpoint liar(tcp.endpoints[0].get(), DropFetchEntry());
+  std::vector<ServerEndpoint*> eps = {&liar, tcp.endpoints[1].get(),
+                                      tcp.endpoints[2].get(),
+                                      tcp.endpoints[3].get()};
+  ThreadPool pool(2);
+  EndpointGroup group = EndpointGroup::Shamir(eps, 2);
+  group.executor = &pool;
+  ClientContext<FpCyclotomicRing> client = engine->client();
+  QuerySession<FpCyclotomicRing> session(&client, group);
+
+  const std::vector<std::string> tags = doc.DistinctTags();
+  auto r = session.LookupMany(tags, VerifyMode::kVerified);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  for (size_t i = 0; i < tags.size(); ++i) {
+    EXPECT_EQ(SortedMatchPaths(r->per_tag[i].matches),
+              testing::Sorted(PlaintextLookup(doc, tags[i]).match_paths))
+        << "//" << tags[i];
+  }
+  EXPECT_EQ(r->stats.server_failovers, 1u);
+  EXPECT_GT(r->stats.fetch_rounds, 1u);
+}
+
+TEST(PipelinedSocketTest, AdditiveOverlapRefusesLyingFetcher) {
+  // The additive schemes need every server: the same liar is a hard
+  // Corruption, never a silently shorter answer.
+  XmlNode doc = MakeDoc(407, 50);
+  DeterministicPrf seed = DeterministicPrf::FromString("pipe-additive-liar");
+  FpEngine::Deploy deploy;
+  deploy.scheme = ShareScheme::kAdditive;
+  deploy.num_servers = 3;
+  auto engine = FpEngine::Outsource(doc, seed, deploy).value();
+  TcpGroup tcp;
+  ASSERT_TRUE(tcp.Serve(*engine, 3).ok());
+  FaultInjectingEndpoint liar(tcp.endpoints[0].get(), DropFetchEntry());
+  ClientContext<FpCyclotomicRing> client = engine->client();
+  QuerySession<FpCyclotomicRing> session(
+      &client, EndpointGroup::Additive({&liar, tcp.endpoints[1].get(),
+                                        tcp.endpoints[2].get()}));
+
+  auto r = session.LookupMany(doc.DistinctTags(), VerifyMode::kVerified);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kCorruption);
 }
 
 }  // namespace

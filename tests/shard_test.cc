@@ -6,8 +6,9 @@
 // (over real TCP) round trips; node-id space reclamation under a
 // remove-heavy churn loop; a one-shard deployment matching the flat
 // Collection in stored bytes and protocol cost; exact answers after a
-// split or merge fails midway; Shamir threshold 0 meaning "all"; and the
-// flat loader refusing a sharded key.
+// split or merge fails midway, with no leaked node ids and a split that
+// failed before moving anything retryable; Shamir threshold 0 meaning
+// "all"; and the flat loader refusing a sharded key.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -466,6 +467,21 @@ TEST(ShardTest, DeadShardFailsLoudlyOrIsSkippedOnRequest) {
   EXPECT_EQ(col->shard_of(on_dead[0]).value(), 1u);
 }
 
+/// No leaked node ids in a shard that only received documents: its
+/// allocation offset equals the node count of the documents living there.
+/// (A shard that documents moved out of keeps their holes until it is
+/// compacted, by design, so only move destinations are checked.)
+void ExpectNextIsNodeCount(FpShardedCollection& col, ShardId shard,
+                           const std::string& label) {
+  const ShardRange* range = col.shard_map().Find(shard);
+  const ServerStoreRegistry<FpCyclotomicRing>* reg = col.registry(shard);
+  ASSERT_NE(range, nullptr) << label;
+  ASSERT_NE(reg, nullptr) << label;
+  int64_t nodes = 0;
+  for (const auto& doc : reg->docs()) nodes += static_cast<int64_t>(doc.nodes);
+  EXPECT_EQ(range->next, nodes) << label << " shard " << shard;
+}
+
 TEST(ShardTest, FailedSplitLeavesSearchesExact) {
   // One two-party shard of four documents. Server 0 answers two more
   // calls — the export and the retirement of doc 3 — then dies before
@@ -489,9 +505,41 @@ TEST(ShardTest, FailedSplitLeavesSearchesExact) {
   EXPECT_EQ(col->shard_of(3).value(), 1u);
   EXPECT_EQ(col->shard_of(4).value(), 0u);
   EXPECT_EQ(col->doc_ids(), (std::vector<DocId>{1, 2, 4, 3}));
+  ExpectNextIsNodeCount(*col, 1, "after failed split");
 
   fault->config().fail_after_calls = SIZE_MAX;
   ExpectAllAnswersMatch(*oracle, *col, AllTags(docs), "after failed split");
+}
+
+TEST(ShardTest, SplitFailingBeforeAnyMoveCanBeRetried) {
+  // The source's only server is dead from the start, so the first export
+  // fails: the split must leave no trace (no new shard, no new group) and
+  // the same call must succeed once the server is back.
+  DeterministicPrf seed = DeterministicPrf::FromString("shard-split-retry");
+  std::vector<std::pair<DocId, XmlNode>> docs;
+  for (uint64_t d = 0; d < 4; ++d)
+    docs.emplace_back(d + 1, MakeDoc(870 + d, 16, 5));
+  auto oracle = FpCollection::Create(seed).value();
+  auto col = FpShardedCollection::Create(seed).value();
+  for (const auto& [id, doc] : docs) {
+    ASSERT_TRUE(oracle->Add(id, doc).ok());
+    ASSERT_TRUE(col->Add(id, doc).ok());
+  }
+  FaultConfig dead;
+  dead.fail_after_calls = 0;
+  FaultInjectingEndpoint* fault = col->InjectFaults(0, 0, dead);
+  ASSERT_NE(fault, nullptr);
+  EXPECT_EQ(col->SplitShard(0, 1).code(), StatusCode::kUnavailable);
+  EXPECT_EQ(col->num_shards(), 1u);
+  EXPECT_EQ(col->registry(1), nullptr);
+  for (const auto& [id, doc] : docs) EXPECT_EQ(col->shard_of(id).value(), 0u);
+
+  fault->config().fail_after_calls = SIZE_MAX;
+  ASSERT_TRUE(col->SplitShard(0, 1).ok());
+  EXPECT_EQ(col->num_shards(), 2u);
+  EXPECT_EQ(col->shard_of(4).value(), 1u);
+  ExpectNextIsNodeCount(*col, 1, "after retried split");
+  ExpectAllAnswersMatch(*oracle, *col, AllTags(docs), "after retried split");
 }
 
 TEST(ShardTest, FailedMergeLeavesSearchesExact) {
@@ -522,6 +570,7 @@ TEST(ShardTest, FailedMergeLeavesSearchesExact) {
   EXPECT_EQ(col->num_shards(), 2u);
   EXPECT_EQ(col->shard_of(on_zero[0]).value(), 1u);
   EXPECT_EQ(col->shard_of(on_zero[1]).value(), 0u);
+  ExpectNextIsNodeCount(*col, 1, "after failed merge");
 
   fault->config().fail_after_calls = SIZE_MAX;
   ExpectAllAnswersMatch(*oracle, *col, AllTags(docs), "after failed merge");
